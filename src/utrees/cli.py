@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (holds / isomorphic), 1 semantic negative (not
 isomorphic, collision found, check failed), 2 input error, 3 resource bound
-exceeded, 4 internal inconsistency (two routes that must agree did not).
+exceeded, 4 internal inconsistency (two routes that must agree did not) or
+any other unexpected error, which is a bug.
 """
 
 from __future__ import annotations
@@ -276,6 +277,14 @@ def main(argv=None) -> int:
         return 3
     except InternalInconsistencyError as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:
+        # exit 1 means a semantic negative, so a crash must not reach it;
+        # traceback is imported only here to keep every run's start-up lean
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 
 

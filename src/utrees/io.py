@@ -109,10 +109,10 @@ def parse_rooted_spec(spec: str) -> RootedWeightedTree:
     """
     weights: list[int] = []
     edges: list[tuple[int, int]] = []
+    # open parents, innermost last; iterative so nesting depth is unbounded
+    stack: list[int] = []
     pos = 0
-
-    def parse_node(parent: int):
-        nonlocal pos
+    while True:
         start = pos
         while pos < len(spec) and spec[pos].isdigit():
             pos += 1
@@ -120,23 +120,27 @@ def parse_rooted_spec(spec: str) -> RootedWeightedTree:
             raise TreeInputError(f"expected a weight at position {start} in {spec!r}")
         vid = len(weights)
         weights.append(int(spec[start:pos]))
-        if parent >= 0:
-            edges.append((parent, vid))
+        if stack:
+            edges.append((stack[-1], vid))
         if pos < len(spec) and spec[pos] == "(":
             pos += 1
-            while True:
-                parse_node(vid)
-                if pos >= len(spec):
-                    raise TreeInputError("unbalanced parentheses")
-                if spec[pos] == ",":
-                    pos += 1
-                    continue
-                if spec[pos] == ")":
-                    pos += 1
-                    break
-                raise TreeInputError(f"unexpected character {spec[pos]!r}")
-
-    parse_node(-1)
+            stack.append(vid)
+            continue
+        # the node is complete: close finished child lists, then go on to a
+        # sibling or stop at the top level
+        while stack:
+            if pos >= len(spec):
+                raise TreeInputError("unbalanced parentheses")
+            if spec[pos] == ",":
+                pos += 1
+                break
+            if spec[pos] == ")":
+                pos += 1
+                stack.pop()
+                continue
+            raise TreeInputError(f"unexpected character {spec[pos]!r}")
+        else:
+            break
     if pos != len(spec):
         raise TreeInputError(f"trailing characters in {spec!r}")
     if min(weights) < 1:

@@ -235,19 +235,15 @@ def count_shaped_partitions(t: WeightedTree, j: int, e: Expression) -> int:
     return total
 
 
-def _can_group(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
-    """Can the fine multiset be split into groups summing to the coarse parts?"""
-    if not coarse:
-        return not fine
-    if sum(fine) != sum(coarse):
-        return False
-    target = coarse[0]
-    rest = coarse[1:]
-    items = list(fine)
+def sub_multisets(items: tuple[int, ...], target: int):
+    """Index tuples of the distinct sub-multisets of items summing to target.
 
-    seen_choices = set()
+    Items must be sorted, so that equal values sit together: of a run of
+    equal values only the first is tried at each position, which yields each
+    sub-multiset once.
+    """
 
-    def pick(start: int, remaining: int, chosen: tuple[int, ...]):
+    def rec(start: int, remaining: int, chosen: tuple[int, ...]):
         if remaining == 0:
             yield chosen
             return
@@ -256,15 +252,20 @@ def _can_group(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
             if items[i] == prev or items[i] > remaining:
                 continue
             prev = items[i]
-            yield from pick(i + 1, remaining - items[i], chosen + (i,))
+            yield from rec(i + 1, remaining - items[i], chosen + (i,))
 
-    for chosen in pick(0, target, ()):
-        key = tuple(items[i] for i in chosen)
-        if key in seen_choices:
-            continue
-        seen_choices.add(key)
-        left = [items[i] for i in range(len(items)) if i not in chosen]
-        if _can_group(tuple(sorted(left, reverse=True)), rest):
+    yield from rec(0, target, ())
+
+
+def _can_group(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
+    """Can the fine multiset be split into groups summing to the coarse parts?"""
+    if not coarse:
+        return not fine
+    if sum(fine) != sum(coarse):
+        return False
+    for chosen in sub_multisets(fine, coarse[0]):
+        left = tuple(fine[i] for i in range(len(fine)) if i not in chosen)
+        if _can_group(left, coarse[1:]):
             return True
     return False
 

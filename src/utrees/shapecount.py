@@ -14,7 +14,7 @@ from math import factorial
 from typing import Mapping
 
 from .errors import InternalInconsistencyError, ReconstructionError, TreeInputError
-from .partitions import Expression, count_partitions
+from .partitions import Expression, count_partitions, sub_multisets
 from .situations import (
     ContainmentTable,
     Situation,
@@ -43,23 +43,6 @@ def _prepare(t: WeightedTree, j: int, e: Expression):
     return e.j_side(j, w)
 
 
-def _sub_multisets(items: tuple[int, ...], target: int):
-    """Distinct sub-multisets of a descending tuple summing to target."""
-
-    def rec(start: int, remaining: int, chosen: tuple[int, ...]):
-        if remaining == 0:
-            yield chosen
-            return
-        prev = None
-        for i in range(start, len(items)):
-            if items[i] == prev or items[i] > remaining:
-                continue
-            prev = items[i]
-            yield from rec(i + 1, remaining - items[i], chosen + (i,))
-
-    yield from rec(0, target, ())
-
-
 def _remove_indices(items: tuple[int, ...], chosen: tuple[int, ...]) -> tuple[int, ...]:
     picked = set(chosen)
     return tuple(items[i] for i in range(len(items)) if i not in picked)
@@ -75,7 +58,7 @@ def _decomposition_sum(s: Situation, side: tuple[int, ...]) -> int:
         if slot == len(comps):
             return 1 if not remaining else 0
         total = 0
-        for chosen in _sub_multisets(remaining, comps[slot].weight):
+        for chosen in sub_multisets(remaining, comps[slot].weight):
             part = Expression.of(remaining[i] for i in chosen)
             ways = count_partitions(comps[slot].tree, part)
             if ways:

@@ -11,6 +11,14 @@ Counting here uses hanging subtrees of every size, with containment of a
 class in a host including the host itself; the spider example in the tests
 shows why the equality term is required for the inclusion-exclusion to
 close.
+
+The signed sum of forests depends on the situation only through its
+containment pattern: the component count, which ordered pairs may nest
+(read from the containment table), how the components' vertex counts
+compare, and which components share a class.  The forest pipeline reads
+nothing else, so the sum is compiled once per pattern into net-coefficient
+forests over component indices, and each query only evaluates those forests
+against its own table.
 """
 
 from __future__ import annotations
@@ -259,13 +267,18 @@ def _contains_class(a: RootedWeightedTree, b: RootedWeightedTree) -> bool:
     return hang_count(a, b) > 0
 
 
-def build_containment_forest(f, s: Situation) -> ContainmentForest | None:
+def build_containment_forest(
+    f, s: Situation, feasible_pairs: frozenset[tuple[int, int]] | None = None
+) -> ContainmentForest | None:
     """Run the four-stage pipeline for one pair set; None if it forces nothing.
 
     Starts from one node per component with the given arcs, saturates common
     sources by vertex-count comparison, contracts directed cycles, and strips
     transitive arcs.  Returns None (the empty intersection) when a required
-    containment is impossible for the component classes.
+    containment is impossible for the component classes.  `feasible_pairs`
+    holds the ordered index pairs (i, j) whose class i can sit inside class j,
+    as read from a containment table; without it each pair is checked on the
+    component trees.
     """
     t = s.size
     index_pairs = set(f)
@@ -276,6 +289,8 @@ def build_containment_forest(f, s: Situation) -> ContainmentForest | None:
     comps = s.components
 
     def feasible(i: int, j: int) -> bool:
+        if feasible_pairs is not None:
+            return (i, j) in feasible_pairs
         return _contains_class(comps[i], comps[j])
 
     for i, j in index_pairs:
@@ -423,6 +438,42 @@ def _count_assignments(host_key, forest: ContainmentForest, tbl: ContainmentTabl
 
 _OCCURRENCE_CACHE: dict[tuple[WeightedTree, Situation], int] = {}
 
+# containment pattern -> ((coefficient, labels, arcs), ...); see _pattern_key
+_COMPILED_TERMS: dict[tuple, tuple[tuple[int, tuple, tuple], ...]] = {}
+
+
+def _pattern_key(s: Situation, feasible_pairs: tuple[tuple[int, int], ...]) -> tuple:
+    """Everything of s that the forest pipeline reads, as small ints.
+
+    The component count, the feasible ordered pairs, each component's rank
+    among the distinct vertex counts (W1 only compares them), and for each
+    component the first index with the same class (W2 and validation only
+    test classes for equality).
+    """
+    sizes = sorted({c.n for c in s.components})
+    ranks = tuple(sizes.index(c.n) for c in s.components)
+    first_equal = tuple(s.codes.index(code) for code in s.codes)
+    return s.size, feasible_pairs, ranks, first_equal
+
+
+def _compile_terms(s: Situation, feasible_pairs: tuple[tuple[int, int], ...]):
+    """Net signed forests of the inclusion-exclusion over feasible pair sets.
+
+    Pair sets whose forests share a canonical key add their signs; keys whose
+    signs cancel drop out.  Labels and arcs are index tuples, so the result
+    holds for every situation with the same pattern.
+    """
+    feasible = frozenset(feasible_pairs)
+    net: dict = {}
+    for size in range(1, len(feasible_pairs) + 1):
+        sign = 1 if size % 2 == 1 else -1
+        for f in combinations(feasible_pairs, size):
+            forest = build_containment_forest(f, s, feasible)
+            if forest is not None:
+                key = forest.canonical_key()
+                net[key] = net.get(key, 0) + sign
+    return tuple((coef, labs, arcs) for (labs, arcs), coef in net.items() if coef)
+
 
 def occurrences_by_inclusion_exclusion(
     t: WeightedTree, s: Situation, tbl: ContainmentTable | None = None
@@ -433,6 +484,14 @@ def occurrences_by_inclusion_exclusion(
     pairs, the tuples where some component sits inside another; each
     intersection is evaluated by the forest pipeline and the assignment
     recursion.
+
+    The forests, and so the signed sum, depend only on the situation's
+    pattern key (`_pattern_key`): feasibility of each pair is read from the
+    table, W1 only compares vertex counts, and W2 and validation only ask
+    which components share a class.  The sum is compiled once per key into
+    forests with net coefficients over component indices; a call binds their
+    classes to s.codes and counts assignments in the table, so with a table
+    given no containment is recomputed from the trees.
     """
     if not _weight_bound_ok(s.total_weight, t.total_weight):
         raise TreeInputError("situation weight exceeds half of the tree weight")
@@ -452,26 +511,28 @@ def occurrences_by_inclusion_exclusion(
     if lambda0 == 0:
         return 0
 
+    codes = s.codes
     indices = range(s.size)
-    pairs = [(i, j) for i in indices for j in indices if i != j]
-    feasible_pairs = [
+    feasible_pairs = tuple(
         (i, j)
-        for (i, j) in pairs
-        if tbl.count(s.codes[i], s.codes[j]) > 0
-    ]
+        for i in indices
+        for j in indices
+        if i != j and tbl.count(codes[i], codes[j]) > 0
+    )
+    key = _pattern_key(s, feasible_pairs)
+    terms = _COMPILED_TERMS.get(key)
+    if terms is None:
+        terms = _COMPILED_TERMS[key] = _compile_terms(s, feasible_pairs)
 
-    memo: dict = {}
     correction = 0
-    for size in range(1, len(feasible_pairs) + 1):
-        for f in combinations(feasible_pairs, size):
-            forest = build_containment_forest(f, s)
-            if forest is None:
-                continue
-            key = forest.canonical_key()
-            if key not in memo:
-                memo[key] = _count_assignments(WHOLE_TREE, forest, tbl)
-            term = memo[key]
-            correction += term if size % 2 == 1 else -term
+    for coef, labs, arcs in terms:
+        forest = ContainmentForest(
+            tuple(frozenset(lab) for lab in labs),
+            tuple(codes[lab[0]] for lab in labs),
+            frozenset(arcs),
+            "W3",
+        )
+        correction += coef * _count_assignments(WHOLE_TREE, forest, tbl)
     result = lambda0 - correction
     if result < 0 or result > lambda0:
         raise InternalInconsistencyError(

@@ -1,5 +1,6 @@
 import json
 
+from utrees import cli
 from utrees.cli import main
 from utrees.io import TreeDocument
 
@@ -113,3 +114,20 @@ def test_exit_codes(tmp_path, capsys):
     big = write_doc(tmp_path, "p12.json", path(*([1] * 12)))
     assert main(["m-count", big, "--situation", "1,1,1,1,1"]) == 3
     capsys.readouterr()
+
+
+def test_deep_situation_spec_is_an_input_error(tmp_path, capsys):
+    f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
+    deep = "1(" * 1500 + "1" + ")" * 1500
+    assert main(["m-count", f, "--situation", deep + ",1"]) == 2
+    assert "exceeds half" in capsys.readouterr().err
+
+
+def test_unexpected_error_exits_4(tmp_path, capsys, monkeypatch):
+    def crash(*args):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(cli, "occurrences_by_inclusion_exclusion", crash)
+    f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
+    assert main(["m-count", f, "--situation", "1,1(1)"]) == 4
+    assert "internal error: ZeroDivisionError: boom" in capsys.readouterr().err

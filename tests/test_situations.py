@@ -1,13 +1,17 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from utrees import situations
 from utrees.errors import (
     MissingTableEntryError,
     ResourceBoundError,
     TreeInputError,
 )
-from utrees.generate import free_trees, random_weighted_tree
+from utrees.generate import free_trees, random_relabeling, random_weighted_tree
 from utrees.situations import (
     WHOLE_TREE,
     ContainmentForest,
@@ -16,10 +20,11 @@ from utrees.situations import (
     build_containment_table,
     count_forest_assignments,
     enumerate_situations,
+    hanging_classes,
     occurrences_by_enumeration,
     occurrences_by_inclusion_exclusion,
 )
-from utrees.trees import WeightedTree, rooted_code
+from utrees.trees import CanonicalCode, RootedWeightedTree, WeightedTree, rooted_code
 
 from helpers import path, rooted, spider, star
 
@@ -192,3 +197,107 @@ def test_pipeline_matches_oracle_random_weighted():
                 assert occurrences_by_inclusion_exclusion(
                     t, s
                 ) == occurrences_by_enumeration(t, s)
+
+
+def _small_situations(t: WeightedTree):
+    for target in range(2, t.total_weight // 2 + 1):
+        for s in enumerate_situations(t, target):
+            if s.size <= 3:
+                yield s
+
+
+def _table_feasible(tbl, s: Situation) -> frozenset:
+    return frozenset(
+        (i, j)
+        for i in range(s.size)
+        for j in range(s.size)
+        if i != j and tbl.class_counts[(s.codes[i], s.codes[j])] > 0
+    )
+
+
+@st.composite
+def weighted_trees(draw, max_n=8, max_weight=3):
+    n = draw(st.integers(2, max_n))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    weights = tuple(draw(st.integers(1, max_weight)) for _ in range(n))
+    return WeightedTree(n, tuple((p, v) for v, p in enumerate(parents, 1)), weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_trees(), st.randoms(use_true_random=False))
+def test_compiled_route_matches_oracle(t, rng):
+    t2 = random_relabeling(t, rng)
+    for s in _small_situations(t):
+        want = occurrences_by_enumeration(t, s)
+        assert occurrences_by_inclusion_exclusion(t, s) == want
+        assert occurrences_by_inclusion_exclusion(t2, s) == want
+
+
+def test_same_pattern_adds_no_memo_entry():
+    # a vertex and a 2-path, in two different trees, then with weights:
+    # the same pattern each time
+    first = (path(1, 1, 1, 1, 1), Situation.of([vertex(), p2()]))
+    second = (path(1, 1, 1, 1, 1, 1, 1), Situation.of([vertex(), p2()]))
+    third = (path(2, 1, 2, 2, 1, 2), Situation.of([vertex(2), rooted(path(2, 1), 0)]))
+    assert occurrences_by_inclusion_exclusion(*first) == 2
+    entries = len(situations._COMPILED_TERMS)
+    for t, s in (second, third):
+        assert occurrences_by_inclusion_exclusion(t, s) == occurrences_by_enumeration(t, s)
+        assert len(situations._COMPILED_TERMS) == entries
+
+
+def test_memo_holds_only_small_ints():
+    for t in free_trees(6):
+        for s in _small_situations(t):
+            occurrences_by_inclusion_exclusion(t, s)
+    assert situations._COMPILED_TERMS
+
+    def walk(x):
+        assert not isinstance(x, (WeightedTree, RootedWeightedTree, CanonicalCode))
+        assert isinstance(x, (int, tuple)), type(x)
+        if isinstance(x, tuple):
+            for item in x:
+                walk(item)
+
+    for key, terms in situations._COMPILED_TERMS.items():
+        walk(key)
+        walk(terms)
+
+
+def test_table_route_makes_no_hang_count_call(monkeypatch):
+    sp = spider(3, 3)
+    s = Situation.of([p2(), p2(), vertex()])
+    tbl = build_containment_table(sp, s.components)
+
+    def forbidden(*args):
+        raise AssertionError("hang_count called on the table route")
+
+    monkeypatch.setattr(situations, "hang_count", forbidden)
+    monkeypatch.setattr(situations, "_OCCURRENCE_CACHE", {})
+    monkeypatch.setattr(situations, "_COMPILED_TERMS", {})
+    assert occurrences_by_inclusion_exclusion(sp, s, tbl) == occurrences_by_enumeration(sp, s)
+
+
+def _forest_key(forest):
+    return None if forest is None else forest.canonical_key()
+
+
+def test_table_feasibility_matches_hang_count_route():
+    # criterion 10's corpus: every pair set of every small situation
+    rng = random.Random(110)
+    trees = [t for n in range(2, 7) for t in free_trees(n)]
+    for _ in range(30):
+        trees.append(random_weighted_tree(rng.randint(2, 6), 3, rng))
+    compared = 0
+    for t in trees:
+        tbl = build_containment_table(t, hanging_classes(t))
+        for s in _small_situations(t):
+            feasible = _table_feasible(tbl, s)
+            pairs = [(i, j) for i in range(s.size) for j in range(s.size) if i != j]
+            for size in range(1, len(pairs) + 1):
+                for f in combinations(pairs, size):
+                    from_table = build_containment_forest(f, s, feasible)
+                    from_trees = build_containment_forest(f, s)
+                    assert _forest_key(from_table) == _forest_key(from_trees), (t, s, f)
+                    compared += 1
+    assert compared > 1000
