@@ -24,7 +24,6 @@ from .partitions import (
     ConnectedPartition,
     Expression,
     ExpressionCounts,
-    PottsParams,
     characteristic,
     count_partitions,
     count_shaped_partitions,

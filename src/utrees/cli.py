@@ -24,7 +24,6 @@ from .errors import (
 from .io import TreeDocument, load_documents, parse_situation_spec
 from .partitions import (
     Expression,
-    PottsParams,
     count_partitions,
     count_shaped_partitions,
     potts_dichromate,
@@ -159,13 +158,12 @@ def cmd_m_count(args) -> int:
 
 def cmd_eval(args) -> int:
     t = _load_one(args.file).tree()
-    p = PottsParams(k=args.k, q=args.q, r=args.r, x=args.x, y=args.y)
     if args.kind == "M":
-        print(q_chromatic(t, p.k, p.q, args.mode))
+        print(q_chromatic(t, args.k, args.q, args.mode))
     elif args.kind == "B":
-        print(q_dichromate(t, p.x, p.y, p.q))
+        print(q_dichromate(t, args.x, args.y, args.q))
     else:
-        print(potts_dichromate(t, p.x, p.k, p.q, p.r, args.mode))
+        print(potts_dichromate(t, args.x, args.k, args.q, args.r, args.mode))
     return 0
 
 

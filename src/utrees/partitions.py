@@ -12,12 +12,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ResourceBoundError, TreeInputError
 from .trees import WeightedTree
 
 BRUTE_VERTEX_CAP = 22
+DP_STATE_CAP = 500_000
 COLOURING_ENUM_CAP = 4**10
 
 
@@ -171,6 +172,11 @@ def _u_table_dp(t: WeightedTree) -> dict[Expression, int]:
                     # keep the edge: absorb the child's open part
                     key = (_merge_parts(ep, ec), op + oc)
                     nxt[key] = nxt.get(key, 0) + cp * cc
+                if len(nxt) > DP_STATE_CAP:
+                    raise ResourceBoundError(
+                        f"U-table DP reached {len(nxt)} states at one vertex; "
+                        f"cap is {DP_STATE_CAP}"
+                    )
             st = nxt
             states[c] = {}
         states[v] = st
@@ -277,25 +283,6 @@ def is_refinement(e_fine: Expression, e_coarse: Expression, j: int, w_total: int
     return _can_group(fine, coarse)
 
 
-@dataclass(frozen=True)
-class PottsParams:
-    """Validated parameter bundle for the numeric evaluators."""
-
-    k: int = 1
-    q: int = 2
-    r: int = 2
-    x: int = 0
-    y: int = 1
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise TreeInputError("k must be a positive int")
-        if self.q < 2 or self.r < 2:
-            raise TreeInputError("q and r must be ints >= 2")
-        if self.y < 1:
-            raise TreeInputError("y must be a positive int")
-
-
 def q_integer(k: int, base: int) -> int:
     """Sum of base**i for i in 0..k-1."""
     return sum(base**i for i in range(k))
@@ -306,8 +293,22 @@ def _check_colouring_enumerable(k: int, n: int):
         raise ResourceBoundError(f"{k}^{n} colourings exceed the enumeration cap")
 
 
-def _component_weights(t: WeightedTree, mask: int) -> list[int]:
-    return [sum(t.weights[v] for v in c) for c in _subset_components(t, mask)]
+def _evaluate(t: WeightedTree, x: int, f: Callable[[int], int]) -> int:
+    """Sum over edge subsets A of x**|A| * prod of f(w(C)) over the components C.
+
+    Read from the U-table: an expression E with count(E) stands for count(E)
+    edge subsets, each of size n - len(E) and with component weights E.
+    """
+    table = _u_table_dp(t)
+    f_of = {p: f(p) for p in {p for e in table for p in e.parts}}
+    total = 0
+    for e, count in table.items():
+        term = count * x ** (t.n - len(e.parts))
+        if term:
+            for p in e.parts:
+                term *= f_of[p]
+            total += term
+    return total
 
 
 def q_chromatic(t: WeightedTree, k: int, q: int, mode: str = "subsets") -> int:
@@ -315,7 +316,8 @@ def q_chromatic(t: WeightedTree, k: int, q: int, mode: str = "subsets") -> int:
 
     Colourings mode sums q**(sum of s(v) * w(v)) over proper colourings
     s: V -> {0..k-1}; subsets mode evaluates the alternating edge-subset
-    expansion with q-integers over component weights.  Both agree exactly.
+    expansion, with the q-integer [k]_(q**w(C)) per component C, from the
+    U-table.  Both agree exactly.
     """
     if k < 1 or q < 2:
         raise TreeInputError("need k >= 1 and q >= 2")
@@ -328,30 +330,16 @@ def q_chromatic(t: WeightedTree, k: int, q: int, mode: str = "subsets") -> int:
             total += q ** sum(s[v] * t.weights[v] for v in range(t.n))
         return total
     if mode == "subsets":
-        total = 0
-        for mask in range(1 << (t.n - 1)):
-            sign = -1 if bin(mask).count("1") % 2 else 1
-            term = 1
-            for cw in _component_weights(t, mask):
-                term *= q_integer(k, q**cw)
-            total += sign * term
-        return total
+        return _evaluate(t, -1, lambda p: q_integer(k, q**p))
     raise TreeInputError(f"unknown mode {mode!r}")
 
 
 def q_dichromate(t: WeightedTree, x: int, y: int, q: int) -> int:
-    """Edge-subset expansion with x**|A| and q-integers over component weights."""
+    """Edge-subset expansion with x**|A| and, per component C, the q-integer
+    [y]_(q**w(C)); evaluated from the U-table."""
     if y < 1 or q < 2:
         raise TreeInputError("need y >= 1 and q >= 2")
-    total = 0
-    for mask in range(1 << (t.n - 1)):
-        term = x ** bin(mask).count("1")
-        if term == 0:
-            continue
-        for cw in _component_weights(t, mask):
-            term *= q_integer(y, q**cw)
-        total += term
-    return total
+    return _evaluate(t, x, lambda p: q_integer(y, q**p))
 
 
 def potts_dichromate(
@@ -360,21 +348,14 @@ def potts_dichromate(
     """Potts-style sum with a field term; subset and colouring routes agree.
 
     Subsets: sum over edge subsets of x**|A| times, per component C,
-    sum_{i<k} r**(weight(C) * q**i).  Colourings: sum over all maps
-    s: V -> {0..k-1} of (x+1)**(#monochromatic edges) * r**(sum q**s(v) * w(v)).
+    sum_{i<k} r**(weight(C) * q**i), evaluated from the U-table.  Colourings:
+    sum over all maps s: V -> {0..k-1} of
+    (x+1)**(#monochromatic edges) * r**(sum q**s(v) * w(v)).
     """
     if k < 1 or q < 2 or r < 2:
         raise TreeInputError("need k >= 1, q >= 2, r >= 2")
     if mode == "subsets":
-        total = 0
-        for mask in range(1 << (t.n - 1)):
-            term = x ** bin(mask).count("1")
-            if term == 0:
-                continue
-            for cw in _component_weights(t, mask):
-                term *= sum(r ** (cw * q**i) for i in range(k))
-            total += term
-        return total
+        return _evaluate(t, x, lambda p: sum(r ** (p * q**i) for i in range(k)))
     if mode == "colourings":
         _check_colouring_enumerable(k, t.n)
         total = 0

@@ -175,23 +175,22 @@ def code_to_rooted_tree(code: CanonicalCode) -> RootedWeightedTree:
     seq = code.code
     weights: list[int] = []
     edges: list[Edge] = []
-
-    def parse(pos: int, parent: int) -> int:
-        try:
-            w, k = seq[pos], seq[pos + 1]
-        except IndexError:
-            raise TreeInputError("truncated canonical code") from None
+    # [vertex id, children still to read] for each vertex on the current path
+    pending: list[list[int]] = []
+    pos = 0
+    while pos == 0 or pending:
+        if pos + 2 > len(seq):
+            raise TreeInputError("truncated canonical code")
         vid = len(weights)
-        weights.append(w)
-        if parent >= 0:
-            edges.append((parent, vid))
+        weights.append(seq[pos])
+        if pending:
+            edges.append((pending[-1][0], vid))
+            pending[-1][1] -= 1
+        pending.append([vid, seq[pos + 1]])
         pos += 2
-        for _ in range(k):
-            pos = parse(pos, vid)
-        return pos
-
-    end = parse(0, -1)
-    if end != len(seq):
+        while pending and pending[-1][1] <= 0:
+            pending.pop()
+    if pos != len(seq):
         raise TreeInputError("trailing data in canonical code")
     return RootedWeightedTree(WeightedTree(len(weights), tuple(edges), tuple(weights)), 0)
 

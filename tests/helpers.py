@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from hypothesis import strategies as st
+
+from utrees.partitions import _subset_components
 from utrees.trees import RootedWeightedTree, WeightedTree
 
 
@@ -34,6 +37,14 @@ def spider(legs: int, leg_length: int) -> WeightedTree:
             prev = nxt
             nxt += 1
     return WeightedTree(nxt, tuple(edges), (1,) * nxt)
+
+
+@st.composite
+def weighted_trees(draw, max_n=8, max_weight=3):
+    n = draw(st.integers(2, max_n))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    weights = tuple(draw(st.integers(1, max_weight)) for _ in range(n))
+    return WeightedTree(n, tuple((p, v) for v, p in enumerate(parents, 1)), weights)
 
 
 def brute_isomorphic(a: WeightedTree, b: WeightedTree) -> bool:
@@ -67,3 +78,15 @@ def brute_rooted_isomorphic(a: RootedWeightedTree, b: RootedWeightedTree) -> boo
         if all(tuple(sorted((perm[u], perm[v]))) in eb for u, v in ta.edges):
             return True
     return False
+
+
+def brute_subset_sum(t: WeightedTree, x: int, f) -> int:
+    """Sum over all 2^(n-1) edge subsets A of x**|A| * prod of f(w(C)) over
+    the components C of (V, A), one subset at a time."""
+    total = 0
+    for mask in range(1 << (t.n - 1)):
+        term = x ** bin(mask).count("1")
+        for comp in _subset_components(t, mask):
+            term *= f(sum(t.weights[v] for v in comp))
+        total += term
+    return total

@@ -1,6 +1,6 @@
 import json
 
-from utrees import cli
+from utrees import cli, partitions
 from utrees.cli import main
 from utrees.io import TreeDocument
 
@@ -97,6 +97,21 @@ def test_eval(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "9"
     assert main(["eval", "Br", f, "--x", "0", "--k", "2", "--q", "2", "--r", "2"]) == 0
     assert capsys.readouterr().out.strip() == "36"
+
+
+def test_eval_rejects_bad_parameters(tmp_path, capsys):
+    f = write_doc(tmp_path, "p2.json", path(1, 1))
+    assert main(["eval", "M", f, "--k", "0"]) == 2
+    assert main(["eval", "B", f, "--y", "0"]) == 2
+    assert main(["eval", "Br", f, "--r", "1"]) == 2
+    capsys.readouterr()
+
+
+def test_eval_dp_state_cap_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(partitions, "DP_STATE_CAP", 1000)
+    f = write_doc(tmp_path, "p60.json", path(*([1] * 60)))
+    assert main(["eval", "M", f]) == 3
+    assert "cap is 1000" in capsys.readouterr().err
 
 
 def test_census_cli(capsys):

@@ -1,8 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from utrees.errors import TreeInputError
+from utrees import partitions
+from utrees.errors import ResourceBoundError, TreeInputError
+from utrees.generate import random_relabeling
 from utrees.partitions import (
     ConnectedPartition,
     Expression,
@@ -13,11 +17,12 @@ from utrees.partitions import (
     potts_dichromate,
     q_chromatic,
     q_dichromate,
+    q_integer,
     u_polynomial,
 )
 from utrees.trees import WeightedTree
 
-from helpers import path, star
+from helpers import brute_subset_sum, path, star, weighted_trees
 
 
 def E(*parts):
@@ -177,3 +182,28 @@ def test_potts_modes_agree_on_random_weighted_trees():
                     assert potts_dichromate(t, x, k, q, 2, "subsets") == potts_dichromate(
                         t, x, k, q, 2, "colourings"
                     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    weighted_trees(max_n=9),
+    st.sampled_from((-1, 0, 1, 2)),
+    st.sampled_from((1, 2, 3)),
+    st.sampled_from((2, 3)),
+    st.sampled_from((2, 3)),
+    st.randoms(use_true_random=False),
+)
+def test_evaluators_match_subset_oracle(t, x, k, q, r, rng):
+    m = brute_subset_sum(t, -1, lambda p: q_integer(k, q**p))
+    b = brute_subset_sum(t, x, lambda p: q_integer(k, q**p))
+    br = brute_subset_sum(t, x, lambda p: sum(r ** (p * q**i) for i in range(k)))
+    for u in (t, random_relabeling(t, rng)):
+        assert q_chromatic(u, k, q, "subsets") == m
+        assert q_dichromate(u, x, k, q) == b
+        assert potts_dichromate(u, x, k, q, r, "subsets") == br
+
+
+def test_dp_state_cap(monkeypatch):
+    monkeypatch.setattr(partitions, "DP_STATE_CAP", 1000)
+    with pytest.raises(ResourceBoundError, match="cap is 1000"):
+        u_polynomial(path(*([1] * 60)))

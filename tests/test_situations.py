@@ -26,7 +26,7 @@ from utrees.situations import (
 )
 from utrees.trees import CanonicalCode, RootedWeightedTree, WeightedTree, rooted_code
 
-from helpers import path, rooted, spider, star
+from helpers import path, rooted, spider, star, weighted_trees
 
 
 def vertex(w=1):
@@ -213,14 +213,6 @@ def _table_feasible(tbl, s: Situation) -> frozenset:
         for j in range(s.size)
         if i != j and tbl.class_counts[(s.codes[i], s.codes[j])] > 0
     )
-
-
-@st.composite
-def weighted_trees(draw, max_n=8, max_weight=3):
-    n = draw(st.integers(2, max_n))
-    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
-    weights = tuple(draw(st.integers(1, max_weight)) for _ in range(n))
-    return WeightedTree(n, tuple((p, v) for v, p in enumerate(parents, 1)), weights)
 
 
 @settings(max_examples=100, deadline=None)

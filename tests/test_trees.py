@@ -4,6 +4,7 @@ import pytest
 
 from utrees.errors import TreeInputError
 from utrees.trees import (
+    CanonicalCode,
     RootedWeightedTree,
     WeightedTree,
     alpha_vector,
@@ -74,6 +75,20 @@ def test_code_roundtrip():
     t = rooted(path(2, 7, 1, 4), 2)
     back = code_to_rooted_tree(rooted_code(t))
     assert rooted_code(back) == rooted_code(t)
+
+
+def test_code_roundtrip_deep_path():
+    t = rooted(path(*range(1, 3001)))
+    code = rooted_code(t)
+    assert rooted_code(code_to_rooted_tree(code)) == code
+
+
+def test_code_to_rooted_tree_rejects_malformed_codes():
+    code = rooted_code(rooted(path(2, 7, 1)))
+    with pytest.raises(TreeInputError, match="truncated"):
+        code_to_rooted_tree(CanonicalCode(code.code[:-1]))
+    with pytest.raises(TreeInputError, match="trailing"):
+        code_to_rooted_tree(CanonicalCode(code.code + (1, 0)))
 
 
 def test_hanging_subtrees_two_path():
