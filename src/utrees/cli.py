@@ -54,7 +54,9 @@ def cmd_canon(args) -> int:
 
 def cmd_iso(args) -> int:
     a, b = _load_one(args.file_a), _load_one(args.file_b)
-    if a.root is not None and b.root is not None:
+    if (a.root is None) != (b.root is None):
+        raise TreeInputError("cannot compare a rooted tree with an unrooted one")
+    if a.root is not None:
         same = rooted_code(a.rooted()) == rooted_code(b.rooted())
     else:
         same = free_code(a.tree()) == free_code(b.tree())
@@ -161,6 +163,8 @@ def cmd_eval(args) -> int:
     if args.kind == "M":
         print(q_chromatic(t, args.k, args.q, args.mode))
     elif args.kind == "B":
+        if args.mode != "subsets":
+            raise TreeInputError(f"B has no {args.mode} route; use --mode subsets")
         print(q_dichromate(t, args.x, args.y, args.q))
     else:
         print(potts_dichromate(t, args.x, args.k, args.q, args.r, args.mode))

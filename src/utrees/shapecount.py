@@ -28,9 +28,9 @@ from .trees import (
     RootedWeightedTree,
     WeightedTree,
     code_to_rooted_tree,
-    hanging_subtrees,
     rooted_code,
     shapes,
+    subtree_codes,
 )
 
 
@@ -220,11 +220,11 @@ def shape_census(t: WeightedTree) -> ShapeCensus:
 def _inside_shape_counts(branch: RootedWeightedTree) -> dict[CanonicalCode, int]:
     """Shape classes properly hanging below the branch root, by count."""
     out: dict[CanonicalCode, int] = {}
-    for h in hanging_subtrees(branch.tree):
-        if branch.root in h.vertices or len(h.vertices) < 2:
-            continue
-        code = rooted_code(h.component)
-        out[code] = out.get(code, 0) + 1
+    for v, flat in enumerate(subtree_codes(branch)):
+        # four ints or more: at least two vertices
+        if v != branch.root and len(flat) >= 4:
+            code = CanonicalCode(flat)
+            out[code] = out.get(code, 0) + 1
     return out
 
 

@@ -213,17 +213,16 @@ def occurrences_by_enumeration(t: WeightedTree, s: Situation) -> int:
 
 @dataclass(frozen=True)
 class ContainmentForest:
-    """Labeled digraph over component indices, staged W0 through W3.
+    """Labeled digraph over component indices, as the W3 stage leaves it.
 
     Labels partition the component index set; all components sharing a label
-    are isomorphic; at stage W3 the graph is an arborescence forest (acyclic,
-    out-degree at most one).
+    are isomorphic; the graph is an arborescence forest (acyclic, out-degree
+    at most one).
     """
 
     labels: tuple[frozenset[int], ...]
     classes: tuple[CanonicalCode, ...]
     arcs: frozenset[tuple[int, int]]
-    stage: str
 
     def validate(self, situation: Situation | None = None):
         seen: set[int] = set()
@@ -240,19 +239,18 @@ class ContainmentForest:
         for x, y in self.arcs:
             if not (0 <= x < len(self.labels) and 0 <= y < len(self.labels)) or x == y:
                 raise InternalInconsistencyError("arc endpoints out of range")
-        if self.stage == "W3":
-            out: dict[int, int] = {}
-            for x, y in self.arcs:
-                if x in out:
-                    raise InternalInconsistencyError("out-degree above one at stage W3")
-                out[x] = y
-            for x in range(len(self.labels)):
-                cur, seen_path = x, set()
-                while cur in out:
-                    if cur in seen_path:
-                        raise InternalInconsistencyError("cycle at stage W3")
-                    seen_path.add(cur)
-                    cur = out[cur]
+        out: dict[int, int] = {}
+        for x, y in self.arcs:
+            if x in out:
+                raise InternalInconsistencyError("out-degree above one in a containment forest")
+            out[x] = y
+        for x in range(len(self.labels)):
+            cur, seen_path = x, set()
+            while cur in out:
+                if cur in seen_path:
+                    raise InternalInconsistencyError("cycle in a containment forest")
+                seen_path.add(cur)
+                cur = out[cur]
 
     def canonical_key(self):
         order = sorted(range(len(self.labels)), key=lambda i: sorted(self.labels[i]))
@@ -260,11 +258,6 @@ class ContainmentForest:
         labs = tuple(tuple(sorted(self.labels[i])) for i in order)
         arcs = tuple(sorted((pos[x], pos[y]) for x, y in self.arcs))
         return labs, arcs
-
-
-def _contains_class(a: RootedWeightedTree, b: RootedWeightedTree) -> bool:
-    """Does b contain a copy of a (as itself, or hanging below its root)?"""
-    return hang_count(a, b) > 0
 
 
 def build_containment_forest(
@@ -291,7 +284,7 @@ def build_containment_forest(
     def feasible(i: int, j: int) -> bool:
         if feasible_pairs is not None:
             return (i, j) in feasible_pairs
-        return _contains_class(comps[i], comps[j])
+        return hang_count(comps[i], comps[j]) > 0
 
     for i, j in index_pairs:
         if not feasible(i, j):
@@ -377,7 +370,7 @@ def build_containment_forest(
 
     labels = tuple(frozenset(g) for g in groups)
     classes = tuple(s.codes[next(iter(g))] for g in groups)
-    forest = ContainmentForest(labels, classes, frozenset(reduced), "W3")
+    forest = ContainmentForest(labels, classes, frozenset(reduced))
     forest.validate(s)
     return forest
 
@@ -428,7 +421,6 @@ def _count_assignments(host_key, forest: ContainmentForest, tbl: ContainmentTabl
                 for x, y in forest.arcs
                 if x in pos and y in pos
             ),
-            "W3",
         )
         total *= tbl.count(forest.classes[root], host_key) * _count_assignments(
             forest.classes[root], sub, tbl
@@ -530,7 +522,6 @@ def occurrences_by_inclusion_exclusion(
             tuple(frozenset(lab) for lab in labs),
             tuple(codes[lab[0]] for lab in labs),
             frozenset(arcs),
-            "W3",
         )
         correction += coef * _count_assignments(WHOLE_TREE, forest, tbl)
     result = lambda0 - correction

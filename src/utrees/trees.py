@@ -148,13 +148,12 @@ def _rooted_parent_order(tree: WeightedTree, root: int):
     return parent, order
 
 
-@lru_cache(maxsize=None)
-def rooted_code(t: RootedWeightedTree) -> CanonicalCode:
-    """Canonical code of a rooted weighted tree.
+def subtree_codes(t: RootedWeightedTree) -> tuple[tuple[int, ...], ...]:
+    """Flat code of every vertex's downward subtree, indexed by vertex id.
 
     A vertex contributes (weight, child count) followed by its child codes
-    sorted in code order; the flattening is prefix-parseable, so codes are
-    equal exactly for isomorphic rooted weighted trees.
+    sorted in code order; the flattening is prefix-parseable, so two entries
+    are equal exactly for isomorphic rooted weighted subtrees.
     """
     tree = t.tree
     parent, order = _rooted_parent_order(tree, t.root)
@@ -167,7 +166,13 @@ def rooted_code(t: RootedWeightedTree) -> CanonicalCode:
         for c in sorted(codes[u] for u in children[v]):
             flat += c
         codes[v] = flat
-    return CanonicalCode(codes[t.root])
+    return tuple(codes)
+
+
+@lru_cache(maxsize=None)
+def rooted_code(t: RootedWeightedTree) -> CanonicalCode:
+    """Canonical code of a rooted weighted tree: its root's subtree code."""
+    return CanonicalCode(subtree_codes(t)[t.root])
 
 
 def code_to_rooted_tree(code: CanonicalCode) -> RootedWeightedTree:
@@ -287,15 +292,11 @@ def shape_count(s: RootedWeightedTree, t: WeightedTree) -> int:
 def hang_count(s: RootedWeightedTree, h: RootedWeightedTree) -> int:
     """Copies of s hanging below h's root, counting h itself when s == h.
 
-    Counts hanging subtrees of h that avoid h's root and are rooted-isomorphic
-    to s, plus one for the containment-with-equality case.
+    The hanging subtrees of h that avoid its root are exactly the downward
+    subtrees of its non-root vertices; the root's own entry is the equality
+    term.
     """
-    target = rooted_code(s)
-    total = 1 if rooted_code(h) == target else 0
-    for hs in hanging_subtrees(h.tree):
-        if h.root not in hs.vertices and rooted_code(hs.component) == target:
-            total += 1
-    return total
+    return subtree_codes(h).count(rooted_code(s).code)
 
 
 def alpha_vector(t: WeightedTree) -> tuple[int, ...]:
@@ -304,20 +305,19 @@ def alpha_vector(t: WeightedTree) -> tuple[int, ...]:
 
 
 def render_rooted(t: RootedWeightedTree) -> str:
-    """Compact nested text for a rooted weighted tree, e.g. '1(1,2(1))'."""
-    tree = t.tree
-    parent, order = _rooted_parent_order(tree, t.root)
-    children: list[list[int]] = [[] for _ in range(tree.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    texts: list[str] = [""] * tree.n
-    keys: list[tuple[int, ...]] = [()] * tree.n
-    for v in reversed(order):
-        kids = sorted(children[v], key=lambda u: keys[u])
-        body = ",".join(texts[u] for u in kids)
-        texts[v] = f"{tree.weights[v]}({body})" if kids else str(tree.weights[v])
-        flat = (tree.weights[v], len(kids))
-        for u in kids:
-            flat += keys[u]
-        keys[v] = flat
-    return texts[t.root]
+    """Compact nested text for a rooted weighted tree, e.g. '1(1,2(1))'.
+
+    Children print in code order, read straight off the canonical code.
+    """
+    code = rooted_code(t).code
+    parts: list[str] = []
+    # children still to print below each vertex on the current path
+    left: list[int] = []
+    for w, k in zip(code[::2], code[1::2]):
+        parts.append(f"{w}(" if k else str(w))
+        left.append(k)
+        while len(left) > 1 and left[-1] == 0:
+            left.pop()
+            left[-1] -= 1
+            parts.append(")" if left[-1] == 0 else ",")
+    return "".join(parts)

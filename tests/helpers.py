@@ -7,7 +7,7 @@ from itertools import permutations
 from hypothesis import strategies as st
 
 from utrees.partitions import _subset_components
-from utrees.trees import RootedWeightedTree, WeightedTree
+from utrees.trees import RootedWeightedTree, WeightedTree, hanging_subtrees
 
 
 def path(*weights: int) -> WeightedTree:
@@ -78,6 +78,16 @@ def brute_rooted_isomorphic(a: RootedWeightedTree, b: RootedWeightedTree) -> boo
         if all(tuple(sorted((perm[u], perm[v]))) in eb for u, v in ta.edges):
             return True
     return False
+
+
+def brute_hang_count(s: RootedWeightedTree, h: RootedWeightedTree) -> int:
+    """Copies of s hanging below h's root, plus one when s is h itself,
+    deciding every match by bijection search instead of canonical codes."""
+    total = 1 if brute_rooted_isomorphic(s, h) else 0
+    for side in hanging_subtrees(h.tree):
+        if h.root not in side.vertices and brute_rooted_isomorphic(s, side.component):
+            total += 1
+    return total
 
 
 def brute_subset_sum(t: WeightedTree, x: int, f) -> int:

@@ -142,7 +142,6 @@ def test_criterion_05_occurrence_pipeline():
             (frozenset({0}), frozenset({1})),
             (rooted_code(two), rooted_code(two)),
             frozenset({(0, 1)}),
-            "W3",
         )
         lam0 = tbl.count(rooted_code(two), WHOLE_TREE) ** 2
         assert lam0 == 9
@@ -253,7 +252,6 @@ def test_criterion_07_forest_assignment_recursion():
                 tuple(frozenset({i}) for i in range(k)),
                 tuple(rooted_code(c) for c in node_classes),
                 frozenset(arcs),
-                "W3",
             )
             forest.validate()
             tbl = build_containment_table(t, classes)

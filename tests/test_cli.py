@@ -27,6 +27,19 @@ def test_canon_and_iso(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "not isomorphic"
 
 
+def test_iso_refuses_rooted_against_unrooted(tmp_path, capsys):
+    free = write_doc(tmp_path, "free.json", path(1, 2, 1))
+    rooted_doc = write_doc(tmp_path, "rooted.json", path(1, 2, 1), root=1)
+    assert main(["iso", rooted_doc, free]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot compare a rooted tree with an unrooted one" in captured.err
+    assert main(["iso", free, rooted_doc]) == 2
+    assert "cannot compare a rooted tree" in capsys.readouterr().err
+    assert main(["iso", rooted_doc, rooted_doc]) == 0
+    capsys.readouterr()
+
+
 def test_upoly_output(tmp_path, capsys):
     f = write_doc(tmp_path, "p4.json", path(1, 1, 1, 1))
     assert main(["upoly", f]) == 0
@@ -105,6 +118,10 @@ def test_eval_rejects_bad_parameters(tmp_path, capsys):
     assert main(["eval", "B", f, "--y", "0"]) == 2
     assert main(["eval", "Br", f, "--r", "1"]) == 2
     capsys.readouterr()
+    assert main(["eval", "B", f, "--mode", "colourings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "B has no colourings route" in captured.err
 
 
 def test_eval_dp_state_cap_exits_3(tmp_path, capsys, monkeypatch):

@@ -114,12 +114,12 @@ def test_count_forest_assignments_spider():
     sp = spider(3, 3)
     code = rooted_code(p2())
     tbl = build_containment_table(sp, [p2()])
-    empty = ContainmentForest((), (), frozenset(), "W3")
+    empty = ContainmentForest((), (), frozenset())
     assert count_forest_assignments(WHOLE_TREE, empty, tbl) == 1
-    single = ContainmentForest((frozenset({0}),), (code,), frozenset(), "W3")
+    single = ContainmentForest((frozenset({0}),), (code,), frozenset())
     assert count_forest_assignments(WHOLE_TREE, single, tbl) == 3
     chain = ContainmentForest(
-        (frozenset({0}), frozenset({1})), (code, code), frozenset({(0, 1)}), "W3"
+        (frozenset({0}), frozenset({1})), (code, code), frozenset({(0, 1)})
     )
     assert count_forest_assignments(WHOLE_TREE, chain, tbl) == 3
     with pytest.raises(MissingTableEntryError):

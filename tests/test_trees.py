@@ -1,8 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from utrees.errors import TreeInputError
+from utrees.generate import random_relabeling
+from utrees.io import parse_rooted_spec
+from utrees.shapecount import _inside_shape_counts
 from utrees.trees import (
     CanonicalCode,
     RootedWeightedTree,
@@ -19,7 +24,15 @@ from utrees.trees import (
     shapes,
 )
 
-from helpers import brute_isomorphic, brute_rooted_isomorphic, path, rooted, star
+from helpers import (
+    brute_hang_count,
+    brute_isomorphic,
+    brute_rooted_isomorphic,
+    path,
+    rooted,
+    star,
+    weighted_trees,
+)
 
 
 def test_tree_validation():
@@ -163,6 +176,42 @@ def test_shapes_subset_of_hangings():
 def test_render_rooted():
     assert render_rooted(rooted(path(1, 1), 0)) == "1(1)"
     assert render_rooted(rooted(star(2, 1, 3), 0)) == "2(1,3)"
+    assert render_rooted(rooted(WeightedTree(1, (), (7,)))) == "7"
+    assert render_rooted(rooted(path(1, 2, 1, 3), 1)) == "2(1,1(3))"
+
+
+def test_render_rooted_deep_path():
+    text = render_rooted(rooted(path(*([1] * 3000)), 0))
+    assert text == "1(" * 2999 + "1" + ")" * 2999
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_trees(max_n=7), st.data())
+def test_subtree_code_counts_match_brute_oracle(t, data):
+    rng = data.draw(st.randoms(use_true_random=False))
+    sides = [side.component for side in hanging_subtrees(t)]
+    for host_tree in (t, random_relabeling(t, rng)):
+        n = host_tree.n
+        hosts = [rooted(host_tree, r) for r in range(n)]
+        s = data.draw(st.sampled_from(sides + hosts))
+        counts = [brute_hang_count(s, h) for h in hosts]
+        assert [hang_count(s, h) for h in hosts] == counts
+        # an m-vertex side avoids exactly n - m of the n roots
+        if 2 <= s.n <= n - 2:
+            assert shape_count(s, host_tree) * (n - s.n) == sum(counts)
+        else:
+            assert shape_count(s, host_tree) == 0
+        for h in hosts:
+            inside = _inside_shape_counts(h)
+            below = [
+                side.component
+                for side in hanging_subtrees(host_tree)
+                if h.root not in side.vertices and len(side.vertices) >= 2
+            ]
+            assert sum(inside.values()) == len(below)
+            for c in below:
+                assert inside[rooted_code(c)] == brute_hang_count(c, h)
+            assert rooted_code(parse_rooted_spec(render_rooted(h))) == rooted_code(h)
 
 
 def _random_tree(rng, n, wmax):
