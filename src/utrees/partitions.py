@@ -15,14 +15,14 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .errors import ResourceBoundError, TreeInputError
-from .trees import WeightedTree
+from .trees import WeightedTree, _rooted_parent_order
 
 BRUTE_VERTEX_CAP = 22
 DP_STATE_CAP = 500_000
 COLOURING_ENUM_CAP = 4**10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expression:
     """A multiset of positive integers, stored as a descending tuple."""
 
@@ -38,6 +38,13 @@ class Expression:
     @classmethod
     def of(cls, parts: Iterable[int]) -> "Expression":
         return cls(tuple(sorted(parts, reverse=True)))
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Expression":
+        """Wrap a descending tuple of positive ints without re-validating it."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "parts", parts)
+        return e
 
     @property
     def total(self) -> int:
@@ -80,8 +87,9 @@ class ExpressionCounts:
     def canonical_text(self) -> str:
         """Byte-stable serialization: header plus descending-lex entries."""
         lines = [f"n={self.n} w={self.total_weight} z={self.z_exponent}"]
-        for e in sorted(self.counts, key=lambda x: x.parts, reverse=True):
-            lines.append(f"{e}: {self.counts[e]}")
+        pairs = sorted(((e.parts, c) for e, c in self.counts.items()), reverse=True)
+        for parts, count in pairs:
+            lines.append(f"{','.join(map(str, parts))}: {count}")
         return "\n".join(lines) + "\n"
 
 
@@ -147,42 +155,42 @@ def _u_table_brute(t: WeightedTree) -> dict[Expression, int]:
     return table
 
 
-def _merge_parts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(a + b, reverse=True))
-
-
-def _u_table_dp(t: WeightedTree) -> dict[Expression, int]:
-    from .trees import _rooted_parent_order
-
+def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
+    """Descending part tuple -> number of edge subsets with those component weights."""
     parent, order = _rooted_parent_order(t, 0)
     children: list[list[int]] = [[] for _ in range(t.n)]
     for v in order[1:]:
         children[parent[v]].append(v)
-    # state per vertex: (closed-part multiset within its subtree, open weight) -> count
+    # state per vertex: (closed parts within its subtree, descending; open weight) -> count
     states: list[dict[tuple[tuple[int, ...], int], int]] = [dict() for _ in range(t.n)]
     for v in reversed(order):
         st = {((), t.weights[v]): 1}
         for c in children[v]:
+            # per child state: closed parts, open weight, closed parts once the edge is cut
+            kids = [(ec, oc, tuple(sorted(ec + (oc,), reverse=True)), cc)
+                    for (ec, oc), cc in states[c].items()]
+            states[c] = {}
             nxt: dict[tuple[tuple[int, ...], int], int] = {}
+            get = nxt.get
             for (ep, op), cp in st.items():
-                for (ec, oc), cc in states[c].items():
+                for ec, oc, cut, cc in kids:
+                    m = cp * cc
                     # cut the edge: the child's open part closes
-                    key = (_merge_parts(ep, _merge_parts(ec, (oc,))), op)
-                    nxt[key] = nxt.get(key, 0) + cp * cc
+                    key = (tuple(sorted(ep + cut, reverse=True)) if ep else cut, op)
+                    nxt[key] = get(key, 0) + m
                     # keep the edge: absorb the child's open part
-                    key = (_merge_parts(ep, ec), op + oc)
-                    nxt[key] = nxt.get(key, 0) + cp * cc
+                    key = (tuple(sorted(ep + ec, reverse=True)) if ep else ec, op + oc)
+                    nxt[key] = get(key, 0) + m
                 if len(nxt) > DP_STATE_CAP:
                     raise ResourceBoundError(
                         f"U-table DP reached {len(nxt)} states at one vertex; "
                         f"cap is {DP_STATE_CAP}"
                     )
             st = nxt
-            states[c] = {}
         states[v] = st
-    table: dict[Expression, int] = {}
+    table: dict[tuple[int, ...], int] = {}
     for (ep, op), cnt in states[0].items():
-        e = Expression(_merge_parts(ep, (op,)))
+        e = tuple(sorted(ep + (op,), reverse=True))
         table[e] = table.get(e, 0) + cnt
     return table
 
@@ -192,7 +200,7 @@ def _u_table(t: WeightedTree, mode: str) -> Mapping[Expression, int]:
     if mode == "brute":
         table = _u_table_brute(t)
     elif mode == "dp":
-        table = _u_table_dp(t)
+        table = {Expression._trusted(e): c for e, c in _u_table_dp(t).items()}
     else:
         raise TreeInputError(f"unknown u_polynomial mode {mode!r}")
     return MappingProxyType(table)
@@ -246,33 +254,38 @@ def sub_multisets(items: tuple[int, ...], target: int):
 
     Items must be sorted, so that equal values sit together: of a run of
     equal values only the first is tried at each position, which yields each
-    sub-multiset once.
+    sub-multiset once.  Depth-first in index order, with an explicit stack.
     """
-
-    def rec(start: int, remaining: int, chosen: tuple[int, ...]):
+    stack = [(0, target, ())]
+    while stack:
+        start, remaining, chosen = stack.pop()
         if remaining == 0:
             yield chosen
-            return
-        prev = None
-        for i in range(start, len(items)):
-            if items[i] == prev or items[i] > remaining:
-                continue
-            prev = items[i]
-            yield from rec(i + 1, remaining - items[i], chosen + (i,))
-
-    yield from rec(0, target, ())
+            continue
+        # push the highest index first, so that the stack pops in index order
+        for i in range(len(items) - 1, start - 1, -1):
+            if items[i] <= remaining and (i == start or items[i - 1] != items[i]):
+                stack.append((i + 1, remaining - items[i], chosen + (i,)))
 
 
 def _can_group(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
     """Can the fine multiset be split into groups summing to the coarse parts?"""
-    if not coarse:
-        return not fine
     if sum(fine) != sum(coarse):
         return False
-    for chosen in sub_multisets(fine, coarse[0]):
-        left = tuple(fine[i] for i in range(len(fine)) if i not in chosen)
-        if _can_group(left, coarse[1:]):
+    if not coarse:
+        return True
+    # ways[d] yields the ways to take coarse[d] out of what coarse[:d] left
+    ways = [(fine, sub_multisets(fine, coarse[0]))]
+    while ways:
+        items, it = ways[-1]
+        chosen = next(it, None)
+        if chosen is None:
+            ways.pop()
+        elif len(ways) == len(coarse):
             return True
+        else:
+            left = tuple(x for i, x in enumerate(items) if i not in chosen)
+            ways.append((left, sub_multisets(left, coarse[len(ways)])))
     return False
 
 
@@ -300,12 +313,12 @@ def _evaluate(t: WeightedTree, x: int, f: Callable[[int], int]) -> int:
     edge subsets, each of size n - len(E) and with component weights E.
     """
     table = _u_table_dp(t)
-    f_of = {p: f(p) for p in {p for e in table for p in e.parts}}
+    f_of = {p: f(p) for p in {p for parts in table for p in parts}}
     total = 0
-    for e, count in table.items():
-        term = count * x ** (t.n - len(e.parts))
+    for parts, count in table.items():
+        term = count * x ** (t.n - len(parts))
         if term:
-            for p in e.parts:
+            for p in parts:
                 term *= f_of[p]
             total += term
     return total

@@ -23,6 +23,7 @@ against its own table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -40,6 +41,7 @@ from .trees import (
     hang_count,
     hanging_subtrees,
     rooted_code,
+    subtree_codes,
 )
 
 MAX_COMPONENTS = 4
@@ -105,14 +107,14 @@ def build_containment_table(t: WeightedTree, components) -> ContainmentTable:
     reps: dict[CanonicalCode, RootedWeightedTree] = {}
     for c in components:
         reps.setdefault(rooted_code(c), c)
-    tree_counts = {}
-    hangs = hanging_subtrees(t)
-    for code in reps:
-        tree_counts[code] = sum(1 for h in hangs if rooted_code(h.component) == code)
-    class_counts = {}
-    for ci, rep_i in reps.items():
-        for cj, rep_j in reps.items():
-            class_counts[(ci, cj)] = hang_count(rep_i, rep_j)
+    tree_counts = dict.fromkeys(reps, 0)
+    for h in hanging_subtrees(t):
+        code = rooted_code(h.component)
+        if code in tree_counts:
+            tree_counts[code] += 1
+    # hang_count(rep_i, rep_j) for every pair, from one walk per host class
+    inside = {cj: Counter(subtree_codes(rep_j)) for cj, rep_j in reps.items()}
+    class_counts = {(ci, cj): inside[cj][ci.code] for ci in reps for cj in reps}
     return ContainmentTable(tree_counts, class_counts)
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,7 @@ def test_u_polynomial_distinguishes_path_star():
         E(4): 1, E(3, 1): 3, E(2, 1, 1): 3, E(1, 1, 1, 1): 1,
     }
     assert up.canonical_text() != us.canonical_text()
+    assert up.canonical_text() == "n=4 w=4 z=0\n4: 1\n3,1: 2\n2,2: 1\n2,1,1: 3\n1,1,1,1: 1\n"
 
 
 def test_u_polynomial_mass_invariants():
@@ -93,6 +95,19 @@ def test_u_polynomial_mass_invariants():
         assert u.count(Expression.of(t.weights)) == 1
         assert all(len(e.parts) <= n for e in u.counts)
         assert dict(u.counts) == dict(u_polynomial(t, "dp").counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_trees(max_n=10, max_weight=4), st.randoms(use_true_random=False))
+def test_dp_table_matches_brute(t, rng):
+    for u in (t, random_relabeling(t, rng)):
+        dp, brute = u_polynomial(u, "dp"), u_polynomial(u, "brute")
+        assert dict(dp.counts) == dict(brute.counts)
+        assert dp.canonical_text() == brute.canonical_text()
+        for e, count in dp.counts.items():
+            checked = Expression(e.parts)
+            assert e == checked and hash(e) == hash(checked)
+            assert count_partitions(u, Expression.of(reversed(e.parts))) == count
 
 
 def test_count_partitions():
@@ -133,6 +148,45 @@ def test_is_refinement_partial_order():
     assert is_refinement(E(3, 2, 1, 1), E(3, 2, 2), js, w)
     assert not is_refinement(E(3, 2, 2), E(3, 2, 1, 1), js, w)
     assert is_refinement(E(3, 1, 1, 1, 1), E(3, 2, 1, 1), js, w)
+
+
+def test_is_refinement_deep_multisets():
+    # 1,500 parts: neither the grouping search nor the sub-multiset walk
+    # may recurse once per part
+    ones = E(*([1] * 1500), 1500)
+    assert is_refinement(ones, E(1500, 1500), 1500, 3000)
+    assert is_refinement(ones, ones, 1500, 3000)
+    assert not is_refinement(E(*([2] * 750), 1500), E(1500, 1499, 1), 1500, 3000)
+
+
+def _groupable_brute(fine, coarse):
+    """Try every assignment of fine parts to coarse parts."""
+    return any(
+        all(sum(f for f, g in zip(fine, groups) if g == i) == c for i, c in enumerate(coarse))
+        for groups in product(range(len(coarse)), repeat=len(fine))
+    )
+
+
+@st.composite
+def fine_and_coarse(draw):
+    """Coarse parts and a random composition of their sum into at most 8 parts."""
+    coarse = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    total, fine = sum(coarse), []
+    while total and len(fine) < 7:
+        fine.append(draw(st.integers(1, total)))
+        total -= fine[-1]
+    if total:
+        fine.append(total)
+    return fine, coarse
+
+
+@settings(max_examples=200, deadline=None)
+@given(fine_and_coarse())
+def test_is_refinement_matches_assignment_oracle(pair):
+    fine, coarse = pair
+    # a shared part of weight 7 is the designated (w - j)-part
+    w = sum(fine) + 7
+    assert is_refinement(E(7, *fine), E(7, *coarse), w - 7, w) == _groupable_brute(fine, coarse)
 
 
 def test_q_chromatic_hand_values():

@@ -24,9 +24,23 @@ from utrees.situations import (
     occurrences_by_enumeration,
     occurrences_by_inclusion_exclusion,
 )
-from utrees.trees import CanonicalCode, RootedWeightedTree, WeightedTree, rooted_code
+from utrees.trees import (
+    CanonicalCode,
+    RootedWeightedTree,
+    WeightedTree,
+    hanging_subtrees,
+    rooted_code,
+)
 
-from helpers import path, rooted, spider, star, weighted_trees
+from helpers import (
+    brute_hang_count,
+    brute_rooted_isomorphic,
+    path,
+    rooted,
+    spider,
+    star,
+    weighted_trees,
+)
 
 
 def vertex(w=1):
@@ -254,6 +268,19 @@ def test_memo_holds_only_small_ints():
     for key, terms in situations._COMPILED_TERMS.items():
         walk(key)
         walk(terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_trees(max_n=6))
+def test_containment_table_matches_brute_counts(t):
+    classes = hanging_classes(t)
+    tbl = build_containment_table(t, classes)
+    for s in classes:
+        code = rooted_code(s)
+        hangs = [h for h in hanging_subtrees(t) if brute_rooted_isomorphic(s, h.component)]
+        assert tbl.count(code, WHOLE_TREE) == len(hangs)
+        for h in classes:
+            assert tbl.count(code, rooted_code(h)) == brute_hang_count(s, h)
 
 
 def test_table_route_makes_no_hang_count_call(monkeypatch):
