@@ -72,8 +72,9 @@ def _collisions(entries: list[tuple[str, WeightedTree]]) -> list[CollisionPair]:
     for fp, t in entries:
         by_fp.setdefault(fp, []).append(t)
     out = []
-    for fp in sorted(by_fp):
-        group = by_fp[fp]
+    for fp, group in sorted(by_fp.items()):
+        if len(group) < 2:
+            continue
         seen: dict = {}
         for t in group:
             code = free_code(t)

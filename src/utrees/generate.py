@@ -3,60 +3,73 @@
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import TreeInputError
-from .trees import WeightedTree, free_code
+from .trees import Edge, WeightedTree, relabel
 
 MAX_ENUM_N = 12
 
 
-def rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """All canonical level sequences of rooted trees on n vertices.
+def multisets_of_weight(weights: Sequence[int], total: int) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing index tuples whose weights sum to total, lexicographically.
 
-    Classic successor scan: start from the path (1,2,...,n); to advance, find
-    the last entry above 2, then repeat the block that starts at its most
-    recent possible parent.  Each sequence is the preorder depth list of one
-    rooted tree, every rooted tree appears exactly once.
+    Weights must be positive and nondecreasing: a weight above what is left
+    ends the scan at that depth, and the last chosen index moves on.
     """
-    if n == 1:
-        yield (1,)
-        return
-    seq = list(range(1, n + 1))
+    chosen: list[int] = []
+    i = 0
     while True:
-        yield tuple(seq)
-        p = max((i for i in range(n) if seq[i] > 2), default=None)
-        if p is None:
+        if total == 0:
+            yield tuple(chosen)
+        elif i < len(weights) and weights[i] <= total:
+            chosen.append(i)
+            total -= weights[i]
+            continue
+        if not chosen:
             return
-        q = max(i for i in range(p) if seq[i] == seq[p] - 1)
-        for i in range(p, n):
-            seq[i] = seq[i - (p - q)]
+        i = chosen.pop()
+        total += weights[i]
+        i += 1
 
 
-def level_sequence_to_tree(seq: tuple[int, ...]) -> WeightedTree:
-    """Unit-weight tree for a preorder level sequence (root has level 1)."""
-    n = len(seq)
-    edges = []
-    stack: list[int] = []
-    for v, level in enumerate(seq):
-        del stack[level - 1 :]
-        if stack:
-            edges.append((stack[-1], v))
-        stack.append(v)
-    return WeightedTree(n, tuple(edges), (1,) * n)
+def _hang(kids, sizes, edges, out: tuple[Edge, ...] = (), size: int = 1) -> tuple[Edge, ...]:
+    """Edges of the tree (`out`, `size` vertices, vertex 0 its root) once the
+    rooted classes `kids` are hung from vertex 0, numbered on in preorder."""
+    for k in kids:
+        out += ((0, size),) + tuple((size + u, size + v) for u, v in edges[k])
+        size += sizes[k]
+    return out
 
 
 def free_trees(n: int) -> Iterator[WeightedTree]:
-    """One unit-weight representative per free-tree isomorphism class."""
+    """One unit-weight representative per free-tree isomorphism class.
+
+    By Jordan's centroid theorem a tree has either one centroid, whose
+    branches each have fewer than n/2 vertices, or two adjacent ones whose
+    edge splits it into halves of n/2.  So each tree is exactly one multiset
+    of small rooted classes hung from a centroid, or one unordered pair of
+    classes of size n/2 joined at their roots: no isomorphism test is needed.
+    Vertex 0 is a centroid and the other vertices are numbered in preorder.
+    """
     if not 1 <= n <= MAX_ENUM_N:
         raise TreeInputError(f"free-tree enumeration supports 1 <= n <= {MAX_ENUM_N}")
-    seen = set()
-    for seq in rooted_level_sequences(n):
-        t = level_sequence_to_tree(seq)
-        c = free_code(t)
-        if c not in seen:
-            seen.add(c)
-            yield t
+    # rooted classes up to n/2 vertices, size by size, so `sizes` is sorted; a
+    # class of size s is a multiset of class ids whose sizes sum to s - 1
+    sizes: list[int] = []
+    edges: list[tuple[Edge, ...]] = []
+    for s in range(1, n // 2 + 1):
+        level = [_hang(kids, sizes, edges) for kids in multisets_of_weight(sizes, s - 1)]
+        sizes += [s] * len(level)
+        edges += level
+    ones = (1,) * n
+    # for even n the last classes have n/2 vertices: halves, too big for branches
+    halves = sizes.index(n // 2) if n % 2 == 0 else len(sizes)
+    for kids in multisets_of_weight(sizes[:halves], n - 1):
+        yield WeightedTree(n, _hang(kids, sizes, edges), ones)
+    for a in range(halves, len(sizes)):
+        for b in range(a, len(sizes)):
+            yield WeightedTree(n, _hang((b,), sizes, edges, edges[a], n // 2), ones)
 
 
 def random_weighted_tree(n: int, weight_bound: int, rng: random.Random) -> WeightedTree:
@@ -78,8 +91,6 @@ def random_encodable_tree(n: int, rng: random.Random, weight_bound: int | None =
 
 
 def random_relabeling(t: WeightedTree, rng: random.Random) -> WeightedTree:
-    from .trees import relabel
-
     perm = list(range(t.n))
     rng.shuffle(perm)
     return relabel(t, perm)

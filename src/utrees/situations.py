@@ -34,6 +34,7 @@ from .errors import (
     ResourceBoundError,
     TreeInputError,
 )
+from .generate import multisets_of_weight
 from .trees import (
     CanonicalCode,
     RootedWeightedTree,
@@ -45,6 +46,11 @@ from .trees import (
 )
 
 MAX_COMPONENTS = 4
+
+# situations one enumerate_situations call may list: the test suite and the
+# shaped benchmark corpus need at most 31, a 200-vertex unit path at weight
+# 100 would need 190,569,291
+MAX_SITUATIONS = 10_000
 
 # host key for the whole input tree in tables and assignment counting
 WHOLE_TREE = None
@@ -142,21 +148,15 @@ def enumerate_situations(t: WeightedTree, target_weight: int) -> tuple[Situation
         )
     classes = [c for c in hanging_classes(t) if c.weight < target_weight]
     out: list[Situation] = []
-
-    def extend(start: int, remaining: int, chosen: list[RootedWeightedTree]):
-        if remaining == 0:
-            if len(chosen) >= 2:
-                out.append(Situation.of(chosen))
-            return
-        for i in range(start, len(classes)):
-            c = classes[i]
-            if c.weight > remaining:
-                break
-            chosen.append(c)
-            extend(i, remaining - c.weight, chosen)
-            chosen.pop()
-
-    extend(0, target_weight, [])
+    # classes are sorted by (weight, code) and lighter than the target, so each
+    # multiset is a sorted situation with two or more components
+    for chosen in multisets_of_weight([c.weight for c in classes], target_weight):
+        if len(out) == MAX_SITUATIONS:
+            raise ResourceBoundError(
+                f"situations of weight {target_weight} exceed MAX_SITUATIONS="
+                f"{MAX_SITUATIONS}: reached {len(out) + 1}"
+            )
+        out.append(Situation(tuple(classes[i] for i in chosen)))
     return tuple(out)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import permutations
+from typing import Iterator
 
 from hypothesis import strategies as st
 
@@ -45,6 +46,41 @@ def weighted_trees(draw, max_n=8, max_weight=3):
     parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
     weights = tuple(draw(st.integers(1, max_weight)) for _ in range(n))
     return WeightedTree(n, tuple((p, v) for v, p in enumerate(parents, 1)), weights)
+
+
+def rooted_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
+    """All canonical level sequences of rooted trees on n vertices.
+
+    Classic successor scan: start from the path (1,2,...,n); to advance, find
+    the last entry above 2, then repeat the block that starts at its most
+    recent possible parent.  Each sequence is the preorder depth list of one
+    rooted tree, every rooted tree appears exactly once.
+    """
+    if n == 1:
+        yield (1,)
+        return
+    seq = list(range(1, n + 1))
+    while True:
+        yield tuple(seq)
+        p = max((i for i in range(n) if seq[i] > 2), default=None)
+        if p is None:
+            return
+        q = max(i for i in range(p) if seq[i] == seq[p] - 1)
+        for i in range(p, n):
+            seq[i] = seq[i - (p - q)]
+
+
+def level_sequence_to_tree(seq: tuple[int, ...]) -> WeightedTree:
+    """Unit-weight tree for a preorder level sequence (root has level 1)."""
+    n = len(seq)
+    edges = []
+    stack: list[int] = []
+    for v, level in enumerate(seq):
+        del stack[level - 1 :]
+        if stack:
+            edges.append((stack[-1], v))
+        stack.append(v)
+    return WeightedTree(n, tuple(edges), (1,) * n)
 
 
 def brute_isomorphic(a: WeightedTree, b: WeightedTree) -> bool:

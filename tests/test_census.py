@@ -1,6 +1,8 @@
 import pytest
 
+from utrees import census
 from utrees.census import fingerprint, run_census
+from utrees.cli import main
 from utrees.errors import ResourceBoundError
 from utrees.generate import random_relabeling
 from utrees.trees import WeightedTree
@@ -56,3 +58,23 @@ def test_census_bounds():
         run_census(n_max=11, mode="stanley")
     with pytest.raises(ResourceBoundError):
         run_census(n_max=9, mode="goodset")
+
+
+def test_stanley_census_computes_no_codes_when_fingerprints_differ(monkeypatch, capsys):
+    calls = []
+    real = census.free_code
+    monkeypatch.setattr(census, "free_code", lambda t: calls.append(t) or real(t))
+    assert main(["census", "--mode", "stanley", "--max-n", "8"]) == 0
+    assert "collisions=0" in capsys.readouterr().out
+    assert calls == []
+
+
+def test_census_reports_collisions_within_a_fingerprint_group(monkeypatch):
+    monkeypatch.setattr(census, "fingerprint", lambda t: "constant")
+    report = run_census(n_max=5, mode="stanley")
+    # the 8 free trees with n <= 5 are pairwise non-isomorphic: every pair collides
+    assert report.tree_count == 8
+    assert report.fingerprint_count == 1
+    assert len(report.collisions) == 8 * 7 // 2
+    assert not report.holds
+    assert "COLLISION FOUND" in report.stable_text()

@@ -102,6 +102,15 @@ def test_situations_and_m_count(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_situations_past_the_cap_exit_3(tmp_path, capsys):
+    # a 200-vertex unit path has 190,569,291 situations of weight 100
+    f = write_doc(tmp_path, "p200.json", path(*[1] * 200))
+    assert main(["situations", f, "--weight", "100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_SITUATIONS=10000: reached 10001" in captured.err
+
+
 def test_eval(tmp_path, capsys):
     f = write_doc(tmp_path, "p2.json", path(1, 1))
     assert main(["eval", "M", f, "--k", "2", "--q", "2", "--mode", "colourings"]) == 0
