@@ -58,12 +58,14 @@ from .trees import (
     CanonicalCode,
     HangingSubtree,
     RootedWeightedTree,
+    SideIndex,
     WeightedTree,
     alpha_vector,
     free_code,
     hang_count,
     hanging_subtrees,
     isomorphic,
+    render_code,
     rooted_code,
     rooted_isomorphic,
     shape_count,

@@ -33,7 +33,7 @@ from .partitions import (
 )
 from .shapecount import nonshaped_count, shaped_count
 from .situations import Situation, enumerate_situations, occurrences_by_inclusion_exclusion
-from .trees import alpha_vector, free_code, render_rooted, rooted_code, shapes
+from .trees import SideIndex, alpha_vector, free_code, render_code, rooted_code
 
 
 def _load_one(path: str) -> TreeDocument:
@@ -70,11 +70,10 @@ def cmd_upoly(args) -> int:
 
 
 def cmd_shapes(args) -> int:
-    t = _load_one(args.file).tree()
-    for sh in shapes(t):
-        u, v = sh.detach_edge
-        print(f"edge=({u},{v}) root={sh.root} weight={sh.component.weight} "
-              f"shape={render_rooted(sh.component)}")
+    idx = SideIndex(_load_one(args.file).tree())
+    for (u, v), root, c in idx.shapes():
+        print(f"edge=({u},{v}) root={root} weight={idx.weight[c]} "
+              f"shape={render_code(idx.code(c))}")
     return 0
 
 
@@ -143,7 +142,7 @@ def cmd_count(args) -> int:
 def cmd_situations(args) -> int:
     t = _load_one(args.file).tree()
     for s in enumerate_situations(t, args.weight):
-        comps = ",".join(render_rooted(c) for c in s.components)
+        comps = ",".join(render_code(code) for code in s.codes)
         print(f"t={s.size} weight={s.total_weight}: {comps}")
     return 0
 

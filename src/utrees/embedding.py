@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedEmbeddingError, TreeInputError
-from .trees import CanonicalCode, WeightedTree, rooted_code, shapes
+from .trees import CanonicalCode, SideIndex, WeightedTree, free_code
 
 
 @dataclass(frozen=True)
@@ -343,13 +343,14 @@ def check_good(trees) -> GoodSetReport:
         reports.append(TreePropertyReport(idx, s_ok, s_wit, w_ok, w_wit))
 
     buckets: dict[tuple[int, ...], list[tuple[int, CanonicalCode, bool]]] = {}
-    for idx, t in enumerate(trees):
+    for i, t in enumerate(trees):
         half = t.total_weight
-        for sh in shapes(t):
-            comp = sh.component
-            key = tuple(sorted(comp.tree.weights))
-            restricted = 2 * comp.weight <= half
-            buckets.setdefault(key, []).append((idx, rooted_code(comp), restricted))
+        idx = SideIndex(t)
+        for _, _, c in idx.shapes():
+            code = idx.code(c)
+            key = tuple(sorted(code.code[0::2]))
+            restricted = 2 * idx.weight[c] <= half
+            buckets.setdefault(key, []).append((i, code, restricted))
     violation = None
     for key in sorted(buckets):
         entries = buckets[key]
@@ -367,6 +368,4 @@ def check_good(trees) -> GoodSetReport:
 
 
 def embedding_isomorphic(a: GoodEmbedding, b: GoodEmbedding) -> bool:
-    from .trees import free_code
-
     return free_code(a.t_prime) == free_code(b.t_prime)

@@ -9,7 +9,6 @@ exponent n - w(T).  All counts are exact Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -195,7 +194,6 @@ def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
     return table
 
 
-@lru_cache(maxsize=None)
 def _u_table(t: WeightedTree, mode: str) -> Mapping[Expression, int]:
     if mode == "brute":
         table = _u_table_brute(t)

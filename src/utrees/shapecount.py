@@ -13,25 +13,32 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Mapping
 
-from .errors import InternalInconsistencyError, ReconstructionError, TreeInputError
-from .partitions import Expression, count_partitions, sub_multisets
+from .errors import (
+    InternalInconsistencyError,
+    ReconstructionError,
+    ResourceBoundError,
+    TreeInputError,
+)
+from .partitions import Expression, sub_multisets
 from .situations import (
+    WHOLE_TREE,
     ContainmentTable,
     Situation,
-    build_containment_table,
-    enumerate_situations,
-    hanging_classes,
+    _sorted_classes,
+    _table,
     occurrences_by_inclusion_exclusion,
 )
 from .trees import (
     CanonicalCode,
     RootedWeightedTree,
+    SideIndex,
     WeightedTree,
     code_to_rooted_tree,
-    rooted_code,
-    shapes,
-    subtree_codes,
 )
+
+# distinct refinements _proper_refinements may build: a side of one part of
+# 60 has 966,466
+MAX_REFINEMENTS = 10_000
 
 
 def _prepare(t: WeightedTree, j: int, e: Expression):
@@ -43,24 +50,35 @@ def _prepare(t: WeightedTree, j: int, e: Expression):
     return e.j_side(j, w)
 
 
+def _table_for(t: WeightedTree, j: int, tbl: ContainmentTable | None) -> ContainmentTable:
+    """The caller's table, once it is known to be t's; else a fresh one of
+    t's hanging classes lighter than j."""
+    if tbl is not None:
+        tbl.check_tree(t)
+        return tbl
+    idx = SideIndex(t)
+    return _table(idx, _sorted_classes(idx, {c for _, _, c in idx.sides if idx.weight[c] < j}))
+
+
 def _remove_indices(items: tuple[int, ...], chosen: tuple[int, ...]) -> tuple[int, ...]:
     picked = set(chosen)
     return tuple(items[i] for i in range(len(items)) if i not in picked)
 
 
-def _decomposition_sum(s: Situation, side: tuple[int, ...]) -> int:
+def _decomposition_sum(s: Situation, side: tuple[int, ...], tbl: ContainmentTable) -> int:
     """Sum over ordered splits of `side` across components of the partition
     counts inside each component."""
 
-    comps = s.components
+    weights = s.weights
+    tables = [tbl.u_table(code) for code in s.codes]
 
     def rec(slot: int, remaining: tuple[int, ...]) -> int:
-        if slot == len(comps):
+        if slot == len(weights):
             return 1 if not remaining else 0
         total = 0
-        for chosen in sub_multisets(remaining, comps[slot].weight):
+        for chosen in sub_multisets(remaining, weights[slot]):
             part = Expression.of(remaining[i] for i in chosen)
-            ways = count_partitions(comps[slot].tree, part)
+            ways = tables[slot].get(part, 0)
             if ways:
                 total += ways * rec(slot + 1, _remove_indices(remaining, chosen))
         return total
@@ -84,13 +102,10 @@ def nonshaped_count(
     """Designated j-partitions of characteristic e whose marked part is not
     a full edge side."""
     side = _prepare(t, j, e)
-    if tbl is None:
-        tbl = build_containment_table(
-            t, [c for c in hanging_classes(t) if c.weight < j]
-        )
+    tbl = _table_for(t, j, tbl)
     total = 0
-    for s in enumerate_situations(t, j):
-        d = _decomposition_sum(s, side)
+    for s in tbl.situations_of(j):
+        d = _decomposition_sum(s, side, tbl)
         if d == 0:
             continue
         m = occurrences_by_inclusion_exclusion(t, s, tbl)
@@ -110,9 +125,10 @@ def shaped_count(
 ) -> int:
     """Designated j-partitions with characteristic e whose marked part is a
     full edge side; equals direct enumeration."""
-    side = _prepare(t, j, e)
+    _prepare(t, j, e)
+    tbl = _table_for(t, j, tbl)
     designations = e.parts.count(t.total_weight - j)
-    total = count_partitions(t, e) * designations - nonshaped_count(t, j, e, tbl)
+    total = tbl.u_table(WHOLE_TREE).get(e, 0) * designations - nonshaped_count(t, j, e, tbl)
     if total < 0:
         raise InternalInconsistencyError(
             f"shaped count went negative for j={j}, e={e}"
@@ -130,38 +146,48 @@ class ExpressionAnalysis:
 
 
 def _int_partitions(n: int):
-    """Descending integer partitions of n."""
+    """Descending partitions of n >= 1, in reverse lexicographic order.
 
-    def rec(remaining: int, cap: int):
-        if remaining == 0:
-            yield ()
+    Each step pops the trailing ones and the last part x above one, then
+    refills what was popped greedily with parts of at most x - 1.
+    """
+    parts: list[int] = []
+    x, rest = n, n
+    while True:
+        while rest:
+            parts.append(min(x, rest))
+            rest -= parts[-1]
+        yield tuple(parts)
+        while parts and parts[-1] == 1:
+            rest += parts.pop()
+        if not parts:
             return
-        for first in range(min(cap, remaining), 0, -1):
-            for rest in rec(remaining - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
+        x = parts.pop() - 1
+        rest += x + 1
 
 
-def _proper_refinements(side: tuple[int, ...]):
-    """All strictly finer multisets obtained by splitting the given parts."""
-    options = [list(_int_partitions(p)) for p in side]
+def _proper_refinements(side: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """All strictly finer multisets obtained by splitting the given parts.
 
-    def rec(i: int):
-        if i == len(options):
-            yield ()
-            return
-        for choice in options[i]:
-            for rest in rec(i + 1):
-                yield choice + rest
-
-    seen = set()
-    original = tuple(sorted(side, reverse=True))
-    for combo in rec(0):
-        key = tuple(sorted(combo, reverse=True))
-        if key != original and key not in seen:
-            seen.add(key)
-            yield key
+    Built one part at a time, keeping the distinct multisets of each step.
+    A step's multisets, with the parts still to come left whole, are distinct
+    refinements of the whole side, so when one step holds more than
+    MAX_REFINEMENTS the side has that many and ResourceBoundError is raised.
+    """
+    level = {()}
+    for p in side:
+        nxt = set()
+        for base in level:
+            for q in _int_partitions(p):
+                nxt.add(tuple(sorted(base + q, reverse=True)))
+                if len(nxt) > MAX_REFINEMENTS:
+                    raise ResourceBoundError(
+                        f"refinements of {side} exceed MAX_REFINEMENTS={MAX_REFINEMENTS}: "
+                        f"reached {len(nxt)} multisets"
+                    )
+        level = nxt
+    level.discard(tuple(sorted(side, reverse=True)))
+    return sorted(level, reverse=True)
 
 
 def analyze_expression(
@@ -169,10 +195,7 @@ def analyze_expression(
 ) -> ExpressionAnalysis:
     """Validity, minimality, and shape resolution for a j-expression."""
     side = _prepare(t, j, e)
-    if tbl is None:
-        tbl = build_containment_table(
-            t, [c for c in hanging_classes(t) if c.weight < j]
-        )
+    tbl = _table_for(t, j, tbl)
     w = t.total_weight
     valid = shaped_count(t, j, e, tbl) > 0
     minimal = False
@@ -185,11 +208,13 @@ def analyze_expression(
                 break
     resolved = None
     if valid:
+        idx = tbl.index
         want = tuple(sorted(side))
         matches = [
-            rooted_code(sh.component)
-            for sh in shapes(t)
-            if tuple(sorted(sh.component.tree.weights)) == want
+            idx.code(c)
+            for c in {c for _, _, c in idx.shapes()}
+            if idx.size[c] == len(want) and idx.weight[c] == sum(want)
+            and tuple(sorted(idx.code(c).code[0::2])) == want
         ]
         if matches:
             resolved = min(matches)
@@ -210,22 +235,23 @@ class ShapeCensus:
 def shape_census(t: WeightedTree) -> ShapeCensus:
     entries: dict[CanonicalCode, int] = {}
     w = t.total_weight
-    for sh in shapes(t):
-        if 2 * sh.component.weight <= w:
-            code = rooted_code(sh.component)
+    idx = SideIndex(t)
+    for _, _, c in idx.shapes():
+        if 2 * idx.weight[c] <= w:
+            code = idx.code(c)
             entries[code] = entries.get(code, 0) + 1
     return ShapeCensus(w, entries)
 
 
 def _inside_shape_counts(branch: RootedWeightedTree) -> dict[CanonicalCode, int]:
     """Shape classes properly hanging below the branch root, by count."""
-    out: dict[CanonicalCode, int] = {}
-    for v, flat in enumerate(subtree_codes(branch)):
-        # four ints or more: at least two vertices
-        if v != branch.root and len(flat) >= 4:
-            code = CanonicalCode(flat)
-            out[code] = out.get(code, 0) + 1
-    return out
+    idx = SideIndex(branch.tree)
+    root = idx.add(branch)
+    return {
+        idx.code(c): k
+        for c, k in idx.inside([root])[root].items()
+        if c != root and idx.size[c] >= 2
+    }
 
 
 def _graft(center_weight: int, branches: list[RootedWeightedTree]) -> WeightedTree:

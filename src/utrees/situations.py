@@ -1,11 +1,11 @@
 """Situations and occurrence counting, by enumeration and by the table route.
 
-A situation is a weight-sorted tuple of at least two rooted weighted trees.
-It occurs in T when all components hang off one connected subtree by
-distinct edges.  Occurrences are counted as ordered tuples; the direct
-enumerator is the oracle, and the table route reproduces it through
-inclusion-exclusion over forced-containment pairs, cycle contraction, and a
-product recursion over the resulting arborescence forest.
+A situation is a weight-sorted tuple of at least two rooted weighted trees,
+held as their rooted codes.  It occurs in T when all components hang off one
+connected subtree by distinct edges.  Occurrences are counted as ordered
+tuples; the direct enumerator is the oracle, and the table route reproduces
+it through inclusion-exclusion over forced-containment pairs, cycle
+contraction, and a product recursion over the resulting arborescence forest.
 
 Counting here uses hanging subtrees of every size, with containment of a
 class in a host including the host itself; the spider example in the tests
@@ -24,9 +24,10 @@ against its own table.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
+from typing import Mapping
 
 from .errors import (
     InternalInconsistencyError,
@@ -35,14 +36,16 @@ from .errors import (
     TreeInputError,
 )
 from .generate import multisets_of_weight
+from .partitions import Expression, u_polynomial
 from .trees import (
     CanonicalCode,
     RootedWeightedTree,
+    SideIndex,
     WeightedTree,
+    code_to_rooted_tree,
     hang_count,
     hanging_subtrees,
     rooted_code,
-    subtree_codes,
 )
 
 MAX_COMPONENTS = 4
@@ -61,43 +64,68 @@ def _weight_bound_ok(target: int, total: int) -> bool:
     return 1 <= target and 2 * target <= total + 1
 
 
+def _code_weight(code: CanonicalCode) -> int:
+    # a rooted code lists (weight, child count) for each vertex in turn
+    return sum(code.code[0::2])
+
+
 @dataclass(frozen=True)
 class Situation:
-    """Component tuple sorted by (weight, code), at least two entries."""
+    """The rooted codes of at least two components, sorted by (weight, code).
 
-    components: tuple[RootedWeightedTree, ...]
+    The component trees are the codes' representatives, built on request.
+    """
+
+    codes: tuple[CanonicalCode, ...]
 
     def __post_init__(self):
-        if len(self.components) < 2:
+        if len(self.codes) < 2:
             raise TreeInputError("a situation needs at least two components")
-        keys = [(c.weight, rooted_code(c)) for c in self.components]
+        if not all(isinstance(c, CanonicalCode) for c in self.codes):
+            raise TreeInputError("situation components are given by their rooted codes")
+        keys = list(zip(self.weights, self.codes))
         if keys != sorted(keys):
             raise TreeInputError("situation components must be sorted by weight then code")
 
     @classmethod
     def of(cls, components) -> "Situation":
-        ordered = sorted(components, key=lambda c: (c.weight, rooted_code(c)))
-        return cls(tuple(ordered))
+        codes = (rooted_code(c) for c in components)
+        return cls(tuple(sorted(codes, key=lambda c: (_code_weight(c), c))))
+
+    @cached_property
+    def components(self) -> tuple[RootedWeightedTree, ...]:
+        return tuple(code_to_rooted_tree(c) for c in self.codes)
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(map(_code_weight, self.codes))
 
     @property
     def size(self) -> int:
-        return len(self.components)
+        return len(self.codes)
 
     @property
     def total_weight(self) -> int:
-        return sum(c.weight for c in self.components)
-
-    @cached_property
-    def codes(self) -> tuple[CanonicalCode, ...]:
-        return tuple(rooted_code(c) for c in self.components)
+        return sum(self.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ContainmentTable:
-    """Counts of each component class inside the tree and inside each class."""
+    """Counts of each component class inside the tree and inside each class.
 
+    A table belongs to the tree it was built for, and carries that tree's
+    SideIndex.  The table route fills four memos on it: the situations of
+    each weight, occurrence counts by situation codes, and the U-tables of
+    the tree (key WHOLE_TREE) and of component classes (key: the class's
+    code).  They live exactly as long as the caller keeps the table.
+    """
+
+    index: SideIndex
     tree_counts: dict[CanonicalCode, int]
     class_counts: dict[tuple[CanonicalCode, CanonicalCode], int]
+    situations: dict[int, tuple[Situation, ...]] = field(default_factory=dict)
+    occurrences: dict[tuple[CanonicalCode, ...], int] = field(default_factory=dict)
+    u_tables: dict[CanonicalCode | None, Mapping[Expression, int]] = field(default_factory=dict)
 
     def count(self, component: CanonicalCode, host) -> int:
         if host is WHOLE_TREE:
@@ -108,56 +136,85 @@ class ContainmentTable:
             raise MissingTableEntryError((component, host))
         return self.class_counts[(component, host)]
 
+    def check_tree(self, t: WeightedTree):
+        """Refuse a tree other than the one the table was built for."""
+        if t is not self.index.tree and t != self.index.tree:
+            raise TreeInputError("the containment table was built for another tree")
+
+    def situations_of(self, target_weight: int) -> tuple[Situation, ...]:
+        """enumerate_situations of the table's tree, memoised per weight."""
+        out = self.situations.get(target_weight)
+        if out is None:
+            out = self.situations[target_weight] = _situations(self.index, target_weight)
+        return out
+
+    def u_table(self, code) -> Mapping[Expression, int]:
+        """The U-table of the table's tree (code WHOLE_TREE) or of the class
+        with the given rooted code, memoised."""
+        out = self.u_tables.get(code)
+        if out is None:
+            tree = self.index.tree if code is WHOLE_TREE else code_to_rooted_tree(code).tree
+            out = self.u_tables[code] = u_polynomial(tree).counts
+        return out
+
+
+def _table(idx: SideIndex, ids) -> ContainmentTable:
+    """The containment table of the classes `ids` of the index's tree."""
+    ids = list(dict.fromkeys(ids))
+    codes = {c: idx.code(c) for c in ids}
+    on_sides = Counter(c for _, _, c in idx.sides)
+    tree_counts = {codes[c]: on_sides[c] for c in ids}
+    inside = idx.inside(ids)
+    class_counts = {(codes[i], codes[j]): inside[j][i] for i in ids for j in ids}
+    return ContainmentTable(idx, tree_counts, class_counts)
+
 
 def build_containment_table(t: WeightedTree, components) -> ContainmentTable:
-    reps: dict[CanonicalCode, RootedWeightedTree] = {}
-    for c in components:
-        reps.setdefault(rooted_code(c), c)
-    tree_counts = dict.fromkeys(reps, 0)
-    for h in hanging_subtrees(t):
-        code = rooted_code(h.component)
-        if code in tree_counts:
-            tree_counts[code] += 1
-    # hang_count(rep_i, rep_j) for every pair, from one walk per host class
-    inside = {cj: Counter(subtree_codes(rep_j)) for cj, rep_j in reps.items()}
-    class_counts = {(ci, cj): inside[cj][ci.code] for ci in reps for cj in reps}
-    return ContainmentTable(tree_counts, class_counts)
+    idx = SideIndex(t)
+    return _table(idx, [idx.add(c) for c in components])
+
+
+def _sorted_classes(idx: SideIndex, ids) -> list[int]:
+    return sorted(ids, key=lambda c: (idx.weight[c], idx.code(c)))
 
 
 def hanging_classes(t: WeightedTree) -> tuple[RootedWeightedTree, ...]:
-    """One representative per isomorphism class of hanging subtrees of t."""
-    reps: dict[CanonicalCode, RootedWeightedTree] = {}
-    for h in hanging_subtrees(t):
-        reps.setdefault(rooted_code(h.component), h.component)
-    return tuple(
-        reps[c] for c in sorted(reps, key=lambda c: (reps[c].weight, c))
-    )
+    """One representative per isomorphism class of hanging subtrees of t,
+    sorted by weight, then code."""
+    idx = SideIndex(t)
+    return tuple(idx.rep(c) for c in _sorted_classes(idx, {c for _, _, c in idx.sides}))
 
 
-@lru_cache(maxsize=None)
 def enumerate_situations(t: WeightedTree, target_weight: int) -> tuple[Situation, ...]:
     """All situations of the target weight realizable from t's hanging classes.
 
     Components never occurring as hanging subtrees are omitted: they force an
     occurrence count of zero, and every consumer multiplies by that count.
     """
-    total = t.total_weight
+    return _situations(SideIndex(t), target_weight)
+
+
+def _situations(idx: SideIndex, target_weight: int) -> tuple[Situation, ...]:
+    total = idx.tree.total_weight
     if not _weight_bound_ok(target_weight, total):
         raise TreeInputError(
             f"target weight {target_weight} exceeds half of w(T)={total}"
         )
-    classes = [c for c in hanging_classes(t) if c.weight < target_weight]
-    out: list[Situation] = []
-    # classes are sorted by (weight, code) and lighter than the target, so each
-    # multiset is a sorted situation with two or more components
-    for chosen in multisets_of_weight([c.weight for c in classes], target_weight):
-        if len(out) == MAX_SITUATIONS:
+    classes = _sorted_classes(
+        idx, {c for _, _, c in idx.sides if idx.weight[c] < target_weight}
+    )
+    chosen: list[tuple[int, ...]] = []
+    for ch in multisets_of_weight([idx.weight[c] for c in classes], target_weight):
+        if len(chosen) == MAX_SITUATIONS:
             raise ResourceBoundError(
                 f"situations of weight {target_weight} exceed MAX_SITUATIONS="
-                f"{MAX_SITUATIONS}: reached {len(out) + 1}"
+                f"{MAX_SITUATIONS}: reached {len(chosen) + 1}"
             )
-        out.append(Situation(tuple(classes[i] for i in chosen)))
-    return tuple(out)
+        chosen.append(ch)
+    # classes are sorted by (weight, code) and lighter than the target, so each
+    # multiset is a sorted situation with two or more components
+    codes = [idx.code(c) for c in classes]
+    return tuple(Situation(tuple(codes[i] for i in ch)) for ch in chosen)
 
 
 def _assert_nested_or_disjoint(a: frozenset[int], b: frozenset[int]):
@@ -348,7 +405,6 @@ def build_containment_forest(
 
     # W3: transitive reduction of the condensation
     k = len(groups)
-    reach2 = {(i, i) for i in range(k)}
     adj = {i: [j for (a, j) in merged_arcs if a == i] for i in range(k)}
 
     def reaches(a: int, b: int, skip_direct: bool) -> bool:
@@ -391,46 +447,22 @@ def count_forest_assignments(host, forest: ContainmentForest, tbl: ContainmentTa
 
 
 def _count_assignments(host_key, forest: ContainmentForest, tbl: ContainmentTable) -> int:
-    k = len(forest.labels)
-    if k == 0:
-        return 1
-    out: dict[int, int] = {}
-    for x, y in forest.arcs:
-        out[x] = y
-    roots = [x for x in range(k) if x not in out]
-    # weakly-connected component of each root
-    nbrs: dict[int, set[int]] = {i: set() for i in range(k)}
-    for x, y in forest.arcs:
-        nbrs[x].add(y)
-        nbrs[y].add(x)
-    total = 1
-    for root in roots:
-        comp = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in nbrs[v]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        sub_nodes = sorted(comp - {root})
-        pos = {old: new for new, old in enumerate(sub_nodes)}
-        sub = ContainmentForest(
-            tuple(forest.labels[i] for i in sub_nodes),
-            tuple(forest.classes[i] for i in sub_nodes),
-            frozenset(
-                (pos[x], pos[y])
-                for x, y in forest.arcs
-                if x in pos and y in pos
-            ),
-        )
-        total *= tbl.count(forest.classes[root], host_key) * _count_assignments(
-            forest.classes[root], sub, tbl
-        )
-    return total
+    # an arc (x, y) puts x inside y: each root's class is counted in the host,
+    # and the nodes right below it are assigned inside that class, and so on
+    parents = dict(forest.arcs)
+    below: dict[int | None, list[int]] = {}
+    for x in range(len(forest.labels)):
+        below.setdefault(parents.get(x), []).append(x)
 
+    def count(nodes, host) -> int:
+        total = 1
+        for x in nodes:
+            cls = forest.classes[x]
+            total *= tbl.count(cls, host) * count(below.get(x, ()), cls)
+        return total
 
-_OCCURRENCE_CACHE: dict[tuple[WeightedTree, Situation], int] = {}
+    return count(below.get(None, ()), host_key)
+
 
 # containment pattern -> ((coefficient, labels, arcs), ...); see _pattern_key
 _COMPILED_TERMS: dict[tuple, tuple[tuple[int, tuple, tuple], ...]] = {}
@@ -444,8 +476,9 @@ def _pattern_key(s: Situation, feasible_pairs: tuple[tuple[int, int], ...]) -> t
     component the first index with the same class (W2 and validation only
     test classes for equality).
     """
-    sizes = sorted({c.n for c in s.components})
-    ranks = tuple(sizes.index(c.n) for c in s.components)
+    # a rooted code holds two ints per vertex
+    sizes = sorted({len(c.code) for c in s.codes})
+    ranks = tuple(sizes.index(len(c.code)) for c in s.codes)
     first_equal = tuple(s.codes.index(code) for code in s.codes)
     return s.size, feasible_pairs, ranks, first_equal
 
@@ -493,16 +526,19 @@ def occurrences_by_inclusion_exclusion(
         raise ResourceBoundError(
             f"situations with more than {MAX_COMPONENTS} components are not supported"
         )
-    cache_key = (t, s)
-    if cache_key in _OCCURRENCE_CACHE:
-        return _OCCURRENCE_CACHE[cache_key]
     if tbl is None:
         tbl = build_containment_table(t, s.components)
+    else:
+        tbl.check_tree(t)
+    memo = tbl.occurrences
+    if s.codes in memo:
+        return memo[s.codes]
 
     lambda0 = 1
     for code in s.codes:
         lambda0 *= tbl.count(code, WHOLE_TREE)
     if lambda0 == 0:
+        memo[s.codes] = 0
         return 0
 
     codes = s.codes
@@ -531,5 +567,5 @@ def occurrences_by_inclusion_exclusion(
         raise InternalInconsistencyError(
             f"inclusion-exclusion left the valid range: {result} of {lambda0}"
         )
-    _OCCURRENCE_CACHE[cache_key] = result
+    memo[s.codes] = result
     return result

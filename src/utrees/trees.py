@@ -1,14 +1,19 @@
-"""Vertex-weighted trees, canonical codes, and hanging-subtree machinery.
+"""Vertex-weighted trees, canonical codes, and the index of hanging subtrees.
 
-Everything here is a pure function of immutable values, so all of it is safe
-to call concurrently.  Vertex ids are 0-based and carry no meaning: every
-observable output (codes, counts) is invariant under relabeling.
+Trees, codes and the functions on them are immutable values, and nothing is
+memoised at module level: work shared between calls on one tree goes through
+that tree's SideIndex, which lives as long as its caller keeps it.  Vertex
+ids are 0-based and carry no meaning: every observable output (codes,
+counts) is invariant under relabeling.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from itertools import chain
 
 from .errors import TreeInputError
 
@@ -43,7 +48,11 @@ class WeightedTree:
         if len(set(norm)) != len(norm):
             raise TreeInputError("duplicate edge")
         object.__setattr__(self, "edges", tuple(norm))
-        # n-1 distinct edges + connectivity == tree
+        # n-1 distinct edges + connectivity == tree.  When every vertex but 0
+        # has exactly one smaller neighbour, stepping down reaches 0 from
+        # anywhere, so the graph is connected without a search.
+        if {v for _, v in norm} == set(range(1, n)):
+            return
         seen = {0}
         stack = [0]
         adj = self.adjacency
@@ -63,7 +72,7 @@ class WeightedTree:
             nbrs[v].append(u)
         return tuple(tuple(sorted(a)) for a in nbrs)
 
-    @property
+    @cached_property
     def total_weight(self) -> int:
         return sum(self.weights)
 
@@ -111,8 +120,10 @@ class CanonicalCode:
 class HangingSubtree:
     """One side of T - e, rooted at the endvertex of e it contains.
 
-    `vertices` and `root` are in the host tree's ids; `component` is the same
-    subtree relabeled to 0..m-1 so it is a valid standalone tree.
+    `vertices` and `root` are in the host tree's ids.  `component` is the
+    representative of the side's rooted class (see SideIndex.rep): a
+    standalone tree rooted at 0, isomorphic to the side but not numbered
+    like it, and the same object for every isomorphic side of one call.
     """
 
     detach_edge: Edge
@@ -133,71 +144,76 @@ def relabel(t: WeightedTree, perm: list[int] | tuple[int, ...]) -> WeightedTree:
 
 
 def _rooted_parent_order(tree: WeightedTree, root: int):
-    """DFS parent array plus a traversal order (parents before children)."""
+    """DFS parent array plus the preorder, in which every subtree is a run."""
     parent = [-2] * tree.n
     parent[root] = -1
-    order = [root]
+    order = []
     stack = [root]
     while stack:
         v = stack.pop()
-        for u in tree.adjacency[v]:
+        order.append(v)
+        # reversed, so that children are visited in adjacency order
+        for u in reversed(tree.adjacency[v]):
             if parent[u] == -2:
                 parent[u] = v
-                order.append(u)
                 stack.append(u)
     return parent, order
 
 
-def subtree_codes(t: RootedWeightedTree) -> tuple[tuple[int, ...], ...]:
-    """Flat code of every vertex's downward subtree, indexed by vertex id.
+def _flat_codes(t: RootedWeightedTree):
+    """(vertex, flat code of its downward subtree), children before parents.
 
     A vertex contributes (weight, child count) followed by its child codes
-    sorted in code order; the flattening is prefix-parseable, so two entries
-    are equal exactly for isomorphic rooted weighted subtrees.
+    sorted in code order; the flattening is prefix-parseable, so two codes
+    are equal exactly for isomorphic rooted weighted subtrees.  A child's code
+    is dropped once its parent's is built: the codes still waiting belong to
+    disjoint subtrees, so together they hold at most 2n ints.
     """
     tree = t.tree
     parent, order = _rooted_parent_order(tree, t.root)
-    children: list[list[int]] = [[] for _ in range(tree.n)]
-    for v in order[1:]:
-        children[parent[v]].append(v)
-    codes: list[tuple[int, ...]] = [()] * tree.n
+    waiting: list[list[tuple[int, ...]]] = [[] for _ in range(tree.n)]
     for v in reversed(order):
-        flat = (tree.weights[v], len(children[v]))
-        for c in sorted(codes[u] for u in children[v]):
-            flat += c
-        codes[v] = flat
-    return tuple(codes)
+        kids = sorted(waiting[v])
+        waiting[v].clear()
+        flat = tuple(chain((tree.weights[v], len(kids)), *kids))
+        if parent[v] >= 0:
+            waiting[parent[v]].append(flat)
+        yield v, flat
 
 
-@lru_cache(maxsize=None)
 def rooted_code(t: RootedWeightedTree) -> CanonicalCode:
     """Canonical code of a rooted weighted tree: its root's subtree code."""
-    return CanonicalCode(subtree_codes(t)[t.root])
+    for _, flat in _flat_codes(t):
+        pass
+    return CanonicalCode(flat)
 
 
 def code_to_rooted_tree(code: CanonicalCode) -> RootedWeightedTree:
-    """Materialize the representative tree of a rooted code (root id 0)."""
+    """Materialize the representative tree of a rooted code (root id 0).
+
+    Vertices are numbered in code order, which is a preorder.
+    """
     seq = code.code
-    weights: list[int] = []
+    if not seq or len(seq) % 2:
+        raise TreeInputError("truncated canonical code")
     edges: list[Edge] = []
-    # [vertex id, children still to read] for each vertex on the current path
+    # [vertex id, children still to read] for each vertex still owed a child
     pending: list[list[int]] = []
-    pos = 0
-    while pos == 0 or pending:
-        if pos + 2 > len(seq):
-            raise TreeInputError("truncated canonical code")
-        vid = len(weights)
-        weights.append(seq[pos])
+    for v, k in enumerate(seq[1::2]):
         if pending:
-            edges.append((pending[-1][0], vid))
-            pending[-1][1] -= 1
-        pending.append([vid, seq[pos + 1]])
-        pos += 2
-        while pending and pending[-1][1] <= 0:
-            pending.pop()
-    if pos != len(seq):
-        raise TreeInputError("trailing data in canonical code")
-    return RootedWeightedTree(WeightedTree(len(weights), tuple(edges), tuple(weights)), 0)
+            top = pending[-1]
+            edges.append((top[0], v))
+            top[1] -= 1
+            if not top[1]:
+                pending.pop()
+        elif v:
+            raise TreeInputError("trailing data in canonical code")
+        if k > 0:
+            pending.append([v, k])
+    if pending:
+        raise TreeInputError("truncated canonical code")
+    weights = seq[0::2]
+    return RootedWeightedTree(WeightedTree(len(weights), tuple(edges), weights), 0)
 
 
 def centroids(t: WeightedTree) -> list[int]:
@@ -221,7 +237,6 @@ def centroids(t: WeightedTree) -> list[int]:
     return sorted(out)
 
 
-@lru_cache(maxsize=None)
 def free_code(t: WeightedTree) -> CanonicalCode:
     """Canonical code of an unrooted weighted tree.
 
@@ -238,55 +253,155 @@ def isomorphic(a: WeightedTree, b: WeightedTree) -> bool:
     return free_code(a) == free_code(b)
 
 
-def _component_vertices(t: WeightedTree, start: int, banned_edge: Edge) -> frozenset[int]:
-    bu, bv = banned_edge
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in t.adjacency[v]:
-            if (v, u) in ((bu, bv), (bv, bu)):
-                continue
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return frozenset(seen)
+class SideIndex:
+    """The rooted classes of every edge side of one tree, interned (AHU).
+
+    A class id stands for the key (root weight, sorted child class ids), so
+    two rooted subtrees share an id exactly when they are isomorphic (Aho,
+    Hopcroft & Ullman 1974).  A down pass from vertex 0 interns the side
+    below each vertex; an up pass, parents first, interns the side above it
+    from its parent's other neighbours.  A class's children always have
+    smaller ids than the class.
+
+    `sides` lists (edge, root, class id) for both sides of every edge, in the
+    order of hanging_subtrees.  Per class, `keys`, `size` and `weight` hold
+    the key, the vertex count and the total weight.  Canonical codes and
+    representative trees are built on request and kept on the index.
+    """
+
+    def __init__(self, tree: WeightedTree):
+        self.tree = tree
+        self.keys: list[tuple[int, tuple[int, ...]]] = []
+        self.size: list[int] = []
+        self.weight: list[int] = []
+        self._ids: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._codes: dict[int, CanonicalCode] = {}
+        self._reps: dict[int, RootedWeightedTree] = {}
+        parent, pre, down = self._down_pass(tree, 0)
+        self._parent, self._pre, self._down = parent, pre, down
+        kids: list[list[int]] = [[] for _ in pre]
+        for v in pre[1:]:
+            kids[parent[v]].append(v)
+        # up[v]: the side of (parent[v], v) that holds the parent, rooted there
+        up = [0] * tree.n
+        for p in pre:
+            nbrs = sorted([down[c] for c in kids[p]] + ([up[p]] if p else []))
+            made: dict[int, int] = {}
+            for c in kids[p]:
+                if down[c] not in made:
+                    i = bisect_left(nbrs, down[c])
+                    made[down[c]] = self._intern(tree.weights[p], tuple(nbrs[:i] + nbrs[i + 1 :]))
+                up[c] = made[down[c]]
+        sides = []
+        for e in tree.edges:
+            low = e[1] if parent[e[1]] == e[0] else e[0]
+            sides += [(e, r, down[r] if r == low else up[low]) for r in e]
+        self.sides: tuple[tuple[Edge, int, int], ...] = tuple(sides)
+
+    def _intern(self, weight: int, kids: tuple[int, ...]) -> int:
+        key = (weight, kids)
+        if key not in self._ids:
+            self._ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.size.append(1 + sum(self.size[k] for k in kids))
+            self.weight.append(weight + sum(self.weight[k] for k in kids))
+        return self._ids[key]
+
+    def _down_pass(self, tree: WeightedTree, root: int):
+        """Parent array, preorder, and the class of the subtree below each
+        vertex when the tree hangs from `root`."""
+        parent, pre = _rooted_parent_order(tree, root)
+        down = [0] * tree.n
+        below: list[list[int]] = [[] for _ in pre]
+        for v in reversed(pre):
+            down[v] = self._intern(tree.weights[v], tuple(sorted(below[v])))
+            if v != root:
+                below[parent[v]].append(down[v])
+        return parent, pre, down
+
+    def add(self, t: RootedWeightedTree) -> int:
+        """Id of t's class, interning it and its subtrees when they are new.
+
+        A new class is never a side of the tree; it only gets an id, so that
+        its code and containment counts can be read.
+        """
+        return self._down_pass(t.tree, t.root)[2][t.root]
+
+    def shapes(self) -> tuple[tuple[Edge, int, int], ...]:
+        """The sides with between 2 and n-2 vertices."""
+        return tuple(s for s in self.sides if 2 <= self.size[s[2]] <= self.tree.n - 2)
+
+    def vertices(self, edge: Edge, root: int) -> frozenset[int]:
+        """Host vertex ids of the side of `edge` that holds `root`."""
+        u, v = edge
+        low = v if self._parent[v] == u else u
+        i = self._pre.index(low)
+        j = i + self.size[self._down[low]]
+        return frozenset(self._pre[i:j] if root == low else self._pre[:i] + self._pre[j:])
+
+    def _below(self, ids, known=()) -> list[int]:
+        """The given classes and every class under them, children first,
+        leaving out the `known` ones and what lies only under those."""
+        seen = set(ids)
+        stack = list(seen)
+        while stack:
+            for k in self.keys[stack.pop()][1]:
+                if k not in seen and k not in known:
+                    seen.add(k)
+                    stack.append(k)
+        return sorted(seen)
+
+    def code(self, cid: int) -> CanonicalCode:
+        """Canonical code of a class; equals rooted_code of each of its trees."""
+        codes = self._codes
+        if cid not in codes:
+            for c in self._below([cid], codes):
+                weight, kids = self.keys[c]
+                flat = chain((weight, len(kids)), *sorted(codes[k].code for k in kids))
+                codes[c] = CanonicalCode(tuple(flat))
+        return codes[cid]
+
+    def rep(self, cid: int) -> RootedWeightedTree:
+        """Representative tree of a class: its code materialized, root 0."""
+        if cid not in self._reps:
+            self._reps[cid] = code_to_rooted_tree(self.code(cid))
+        return self._reps[cid]
+
+    def inside(self, hosts) -> dict[int, Counter]:
+        """Per host class, how many of its vertices root a tree of each class.
+
+        The host's own root counts, so every class lies inside itself once.
+        Read off the child ids, children before parents.
+        """
+        done: dict[int, Counter] = {}
+        for c in self._below(hosts):
+            done[c] = Counter({c: 1})
+            for k in self.keys[c][1]:
+                done[c].update(done[k])
+        return {h: done[h] for h in hosts}
 
 
-def extract_rooted(t: WeightedTree, vertices: frozenset[int], root: int) -> RootedWeightedTree:
-    """Relabel the induced subtree on `vertices` to ids 0..m-1."""
-    idx = {v: i for i, v in enumerate(sorted(vertices))}
-    edges = tuple(
-        (idx[u], idx[v]) for u, v in t.edges if u in vertices and v in vertices
-    )
-    weights = tuple(t.weights[v] for v in sorted(vertices))
-    return RootedWeightedTree(WeightedTree(len(vertices), edges, weights), idx[root])
+def _hanging(idx: SideIndex, sides) -> tuple[HangingSubtree, ...]:
+    return tuple(HangingSubtree(e, r, idx.vertices(e, r), idx.rep(c)) for e, r, c in sides)
 
 
-@lru_cache(maxsize=None)
 def hanging_subtrees(t: WeightedTree) -> tuple[HangingSubtree, ...]:
     """Both sides of every edge removal: exactly 2(n-1) entries for n >= 2."""
-    out = []
-    for e in t.edges:
-        u, v = e
-        side_u = _component_vertices(t, u, e)
-        side_v = frozenset(range(t.n)) - side_u
-        out.append(HangingSubtree(e, u, side_u, extract_rooted(t, side_u, u)))
-        out.append(HangingSubtree(e, v, side_v, extract_rooted(t, side_v, v)))
-    return tuple(out)
+    idx = SideIndex(t)
+    return _hanging(idx, idx.sides)
 
 
 def shapes(t: WeightedTree) -> tuple[HangingSubtree, ...]:
     """Hanging subtrees with between 2 and n-2 vertices."""
-    return tuple(
-        h for h in hanging_subtrees(t) if 2 <= len(h.vertices) <= t.n - 2
-    )
+    idx = SideIndex(t)
+    return _hanging(idx, idx.shapes())
 
 
 def shape_count(s: RootedWeightedTree, t: WeightedTree) -> int:
     """How many shapes of t are rooted-isomorphic to s."""
-    target = rooted_code(s)
-    return sum(1 for h in shapes(t) if rooted_code(h.component) == target)
+    idx = SideIndex(t)
+    target = idx.add(s)
+    return sum(1 for _, _, c in idx.shapes() if c == target)
 
 
 def hang_count(s: RootedWeightedTree, h: RootedWeightedTree) -> int:
@@ -296,24 +411,26 @@ def hang_count(s: RootedWeightedTree, h: RootedWeightedTree) -> int:
     subtrees of its non-root vertices; the root's own entry is the equality
     term.
     """
-    return subtree_codes(h).count(rooted_code(s).code)
+    target = rooted_code(s).code
+    return sum(1 for _, flat in _flat_codes(h) if flat == target)
 
 
 def alpha_vector(t: WeightedTree) -> tuple[int, ...]:
     """Strictly increasing distinct weights of the shapes of t."""
-    return tuple(sorted({h.component.weight for h in shapes(t)}))
+    idx = SideIndex(t)
+    return tuple(sorted({idx.weight[c] for _, _, c in idx.shapes()}))
 
 
-def render_rooted(t: RootedWeightedTree) -> str:
-    """Compact nested text for a rooted weighted tree, e.g. '1(1,2(1))'.
+def render_code(code: CanonicalCode) -> str:
+    """Compact nested text of a rooted code, e.g. '1(1,2(1))'.
 
-    Children print in code order, read straight off the canonical code.
+    Children print in code order, read straight off the code.
     """
-    code = rooted_code(t).code
+    flat = code.code
     parts: list[str] = []
     # children still to print below each vertex on the current path
     left: list[int] = []
-    for w, k in zip(code[::2], code[1::2]):
+    for w, k in zip(flat[::2], flat[1::2]):
         parts.append(f"{w}(" if k else str(w))
         left.append(k)
         while len(left) > 1 and left[-1] == 0:
@@ -321,3 +438,8 @@ def render_rooted(t: RootedWeightedTree) -> str:
             left[-1] -= 1
             parts.append(")" if left[-1] == 0 else ",")
     return "".join(parts)
+
+
+def render_rooted(t: RootedWeightedTree) -> str:
+    """Compact nested text for a rooted weighted tree, e.g. '1(1,2(1))'."""
+    return render_code(rooted_code(t))

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import permutations
 from typing import Iterator
 
 from hypothesis import strategies as st
 
 from utrees.partitions import _subset_components
-from utrees.trees import RootedWeightedTree, WeightedTree, hanging_subtrees
+from utrees.trees import Edge, RootedWeightedTree, WeightedTree
 
 
 def path(*weights: int) -> WeightedTree:
@@ -116,12 +117,38 @@ def brute_rooted_isomorphic(a: RootedWeightedTree, b: RootedWeightedTree) -> boo
     return False
 
 
+def brute_sides(t: WeightedTree) -> list[tuple[Edge, int, frozenset[int]]]:
+    """(edge, root, vertex set) of both sides of every edge, each side found
+    by its own breadth-first search that never crosses its edge."""
+    out = []
+    for u, v in t.edges:
+        for root, other in ((u, v), (v, u)):
+            seen = {root}
+            queue = deque([root])
+            while queue:
+                x = queue.popleft()
+                for y in t.adjacency[x]:
+                    if y not in seen and (x, y) != (root, other):
+                        seen.add(y)
+                        queue.append(y)
+            out.append(((u, v), root, frozenset(seen)))
+    return out
+
+
+def cut_side(t: WeightedTree, vertices: frozenset[int], root: int) -> RootedWeightedTree:
+    """The subtree induced on `vertices`, renumbered 0..m-1 in host order."""
+    idx = {v: i for i, v in enumerate(sorted(vertices))}
+    edges = tuple((idx[a], idx[b]) for a, b in t.edges if a in idx and b in idx)
+    weights = tuple(t.weights[v] for v in sorted(vertices))
+    return RootedWeightedTree(WeightedTree(len(idx), edges, weights), idx[root])
+
+
 def brute_hang_count(s: RootedWeightedTree, h: RootedWeightedTree) -> int:
     """Copies of s hanging below h's root, plus one when s is h itself,
     deciding every match by bijection search instead of canonical codes."""
     total = 1 if brute_rooted_isomorphic(s, h) else 0
-    for side in hanging_subtrees(h.tree):
-        if h.root not in side.vertices and brute_rooted_isomorphic(s, side.component):
+    for _, root, vertices in brute_sides(h.tree):
+        if h.root not in vertices and brute_rooted_isomorphic(s, cut_side(h.tree, vertices, root)):
             total += 1
     return total
 

@@ -42,9 +42,9 @@ from utrees.situations import (
     occurrences_by_enumeration,
     occurrences_by_inclusion_exclusion,
 )
-from utrees.trees import hanging_subtrees, isomorphic, rooted_code
+from utrees.trees import isomorphic, rooted_code
 
-from helpers import path, rooted, spider, star
+from helpers import brute_sides, cut_side, path, rooted, spider, star
 
 
 def _report(num: int, ok: bool, desc: str):
@@ -205,16 +205,17 @@ def test_criterion_06_shaped_counts():
 def _instances_in(host, forest_class_code, t):
     if host is WHOLE_TREE:
         return [
-            h.vertices
-            for h in hanging_subtrees(t)
-            if rooted_code(h.component) == forest_class_code
+            vertices
+            for _, root, vertices in brute_sides(t)
+            if rooted_code(cut_side(t, vertices, root)) == forest_class_code
         ]
     out = []
     if rooted_code(host) == forest_class_code:
         out.append(frozenset(range(host.tree.n)))
-    for h in hanging_subtrees(host.tree):
-        if host.root not in h.vertices and rooted_code(h.component) == forest_class_code:
-            out.append(h.vertices)
+    for _, root, vertices in brute_sides(host.tree):
+        side = cut_side(host.tree, vertices, root)
+        if host.root not in vertices and rooted_code(side) == forest_class_code:
+            out.append(vertices)
     return out
 
 

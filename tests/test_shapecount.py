@@ -1,12 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 
-from utrees.errors import ReconstructionError, TreeInputError
+from utrees import shapecount
+from utrees.errors import ReconstructionError, ResourceBoundError, TreeInputError
 from utrees.generate import free_trees, random_weighted_tree
 from utrees.partitions import Expression, count_partitions, count_shaped_partitions
 from utrees.shapecount import (
+    MAX_REFINEMENTS,
     ShapeCensus,
+    _proper_refinements,
     analyze_expression,
     nonshaped_count,
     reconstruct_from_census,
@@ -14,6 +18,12 @@ from utrees.shapecount import (
     shaped_count,
 )
 from utrees.embedding import good_encode
+from utrees.situations import (
+    Situation,
+    build_containment_table,
+    hanging_classes,
+    occurrences_by_inclusion_exclusion,
+)
 from utrees.trees import isomorphic, rooted_code
 
 from helpers import path, rooted, star
@@ -188,3 +198,65 @@ def test_reconstruct_encoded_trees():
             continue
         back = reconstruct_from_census(shape_census(tp), tp.n)
         assert isomorphic(back, tp)
+
+
+def test_foreign_table_is_refused():
+    # the path's table once made the star's count 2; enumeration gives 0
+    t, other = star(1, 1, 1, 1), path(1, 1, 1, 1)
+    tbl = build_containment_table(other, hanging_classes(other))
+    e = E(2, 1, 1)
+    assert shaped_count(t, 2, e) == count_shaped_partitions(t, 2, e) == 0
+    for count in (shaped_count, nonshaped_count, analyze_expression):
+        with pytest.raises(TreeInputError, match="another tree"):
+            count(t, 2, e, tbl)
+    s = Situation.of([rooted(path(1), 0), rooted(path(1), 0)])
+    with pytest.raises(TreeInputError, match="another tree"):
+        occurrences_by_inclusion_exclusion(t, s, tbl)
+    # an equal tree built anew is the same tree, and the table's memos serve it
+    same = path(1, 1, 1, 1)
+    assert shaped_count(same, 2, e, tbl) == count_shaped_partitions(same, 2, e)
+    assert tbl.u_tables and tbl.situations
+
+
+def _refinements_by_product(side):
+    """Oracle: one partition per part, every combination, duplicates dropped."""
+
+    def partitions(n, cap):
+        if n == 0:
+            return [()]
+        return [(k,) + rest for k in range(min(n, cap), 0, -1) for rest in partitions(n - k, k)]
+
+    original = tuple(sorted(side, reverse=True))
+    out = {tuple(sorted(sum(combo, ()), reverse=True)) for combo in product(*(partitions(p, p) for p in side))}
+    return out - {original}
+
+
+@pytest.mark.parametrize(
+    "side", [(), (1,), (2,), (3, 2), (2, 1, 1), (4, 4), (5, 3, 1), (6, 2, 2, 1), (1,) * 8, (20,) + (1,) * 16]
+)
+def test_proper_refinements_match_product_oracle(side):
+    got = list(_proper_refinements(side))
+    assert len(got) == len(set(got))
+    assert set(got) == _refinements_by_product(side)
+
+
+def test_proper_refinements_cap(monkeypatch):
+    with pytest.raises(ResourceBoundError, match=f"MAX_REFINEMENTS={MAX_REFINEMENTS}: reached"):
+        list(_proper_refinements((60,)))
+    monkeypatch.setattr(shapecount, "MAX_REFINEMENTS", 10)
+    assert len(list(_proper_refinements((4,)))) == 4  # five partitions, one is the side
+    with pytest.raises(ResourceBoundError, match="MAX_REFINEMENTS=10: reached 11 "):
+        list(_proper_refinements((6,)))
+    assert list(_proper_refinements((1,) * 60)) == []
+    # the cap counts distinct refinements, not combinations of part splits
+    assert len(_proper_refinements((2,) * 9)) == 9
+    with pytest.raises(ResourceBoundError, match="MAX_REFINEMENTS=10: reached 11 "):
+        _proper_refinements((2,) * 10)
+
+
+def test_minimality_with_many_unit_parts():
+    # 20, sixteen 1s, 40 along a path: the side (20, 1 x 16) has 626 proper
+    # refinements among the 17,293 partitions of 36 into parts of at most 20
+    t = path(20, *[1] * 16, 40)
+    a = analyze_expression(t, 36, E(40, 20, *[1] * 16))
+    assert (a.valid, a.minimal, a.resolved_shape) == (True, True, None)

@@ -58,6 +58,25 @@ def test_situation_sorting():
         Situation((p2(),))
 
 
+def test_situation_codes_computed_once(monkeypatch):
+    calls = []
+    real = situations.rooted_code
+    monkeypatch.setattr(situations, "rooted_code", lambda c: calls.append(c) or real(c))
+    s = Situation.of([p2(), vertex(), p2()])
+    assert len(calls) == 3
+    assert s.codes == (real(vertex()), real(p2()), real(p2()))
+    assert s.weights == (1, 2, 2) and s.components == (vertex(), p2(), p2())
+    assert Situation(s.codes) == s and len(calls) == 3
+    with pytest.raises(TreeInputError, match="sorted"):
+        Situation(s.codes[::-1])
+    with pytest.raises(TreeInputError, match="rooted codes"):
+        Situation((vertex(), p2()))
+    # enumeration reads its codes off the tree's index
+    sits = enumerate_situations(path(1, 1, 1, 1, 1, 1), 3)
+    assert sits and len(calls) == 3
+    assert all(s.codes == tuple(real(c) for c in s.components) for s in sits)
+
+
 def test_enumerate_situations_five_path():
     five = path(1, 1, 1, 1, 1)
     sits = enumerate_situations(five, 3)
@@ -292,7 +311,7 @@ def test_table_route_makes_no_hang_count_call(monkeypatch):
         raise AssertionError("hang_count called on the table route")
 
     monkeypatch.setattr(situations, "hang_count", forbidden)
-    monkeypatch.setattr(situations, "_OCCURRENCE_CACHE", {})
+    monkeypatch.setattr(tbl, "occurrences", {})
     monkeypatch.setattr(situations, "_COMPILED_TERMS", {})
     assert occurrences_by_inclusion_exclusion(sp, s, tbl) == occurrences_by_enumeration(sp, s)
 

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from utrees.shapecount import _inside_shape_counts
 from utrees.trees import (
     CanonicalCode,
     RootedWeightedTree,
+    SideIndex,
     WeightedTree,
     alpha_vector,
     code_to_rooted_tree,
@@ -28,6 +31,8 @@ from helpers import (
     brute_hang_count,
     brute_isomorphic,
     brute_rooted_isomorphic,
+    brute_sides,
+    cut_side,
     path,
     rooted,
     star,
@@ -44,6 +49,31 @@ def test_tree_validation():
         WeightedTree(2, ((0, 1),), (1, 0))
     with pytest.raises(TreeInputError):
         WeightedTree(4, ((0, 1), (2, 3), (0, 1)), (1, 1, 1, 1))
+
+
+def _connected(n, edges):
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for e in edges:
+            if v in e and e[0] + e[1] - v not in seen:
+                seen.add(e[0] + e[1] - v)
+                stack.append(e[0] + e[1] - v)
+    return len(seen) == n
+
+
+def test_tree_validation_accepts_exactly_the_trees():
+    # every set of n-1 distinct edges, so every labelling of every graph:
+    # the ones numbered parents first and the others take different checks
+    for n in range(1, 7):
+        for edges in combinations(combinations(range(n), 2), n - 1):
+            for es in (edges, tuple((v, u) for u, v in edges)):
+                try:
+                    WeightedTree(n, es, (1,) * n)
+                    accepted = True
+                except TreeInputError:
+                    accepted = False
+                assert accepted == _connected(n, edges), (n, es)
 
 
 def test_rooted_code_single_vertex():
@@ -100,8 +130,12 @@ def test_code_to_rooted_tree_rejects_malformed_codes():
     code = rooted_code(rooted(path(2, 7, 1)))
     with pytest.raises(TreeInputError, match="truncated"):
         code_to_rooted_tree(CanonicalCode(code.code[:-1]))
+    with pytest.raises(TreeInputError, match="truncated"):
+        code_to_rooted_tree(CanonicalCode((1, 2, 1, 0)))
     with pytest.raises(TreeInputError, match="trailing"):
         code_to_rooted_tree(CanonicalCode(code.code + (1, 0)))
+    with pytest.raises(TreeInputError, match="positive"):
+        code_to_rooted_tree(CanonicalCode((1, 1, 0, 0)))
 
 
 def test_hanging_subtrees_two_path():
@@ -183,6 +217,50 @@ def test_render_rooted():
 def test_render_rooted_deep_path():
     text = render_rooted(rooted(path(*([1] * 3000)), 0))
     assert text == "1(" * 2999 + "1" + ")" * 2999
+
+
+def test_render_rooted_deep_path_memory():
+    # the codes of finished children are dropped, so the peak stays linear
+    p = rooted(path(*([1] * 3000)), 0)
+    tracemalloc.start()
+    try:
+        render_rooted(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+
+
+def test_isomorphic_sides_share_one_representative():
+    sides = hanging_subtrees(path(1, 2, 1))
+    by_root = {(h.detach_edge, h.root): h.component for h in sides}
+    assert by_root[((0, 1), 0)] is by_root[((1, 2), 2)]
+    assert render_rooted(by_root[((0, 1), 1)]) == "2(1)"
+    assert sorted(len(h.vertices) for h in sides) == [1, 1, 2, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_trees(max_n=8, max_weight=3), st.randoms(use_true_random=False))
+def test_side_index_matches_bfs_oracle(t, rng):
+    for tree in (t, random_relabeling(t, rng)):
+        idx = SideIndex(tree)
+        oracle = {(e, r): (vs, cut_side(tree, vs, r)) for e, r, vs in brute_sides(tree)}
+        assert [(e, root) for e, root, _ in idx.sides] == list(oracle)
+        sides = []
+        for e, root, c in idx.sides:
+            vertices, side = oracle[(e, root)]
+            assert idx.vertices(e, root) == vertices
+            assert idx.code(c) == rooted_code(side) == rooted_code(idx.rep(c))
+            rep = idx.rep(c).tree  # built unchecked from the code
+            assert rep == WeightedTree(rep.n, rep.edges, rep.weights)
+            sides.append((c, side))
+        for (c, a), (d, b) in combinations(sides, 2):
+            assert (c == d) == brute_rooted_isomorphic(a, b)
+        reps = dict(sides)
+        inside = idx.inside(list(reps))
+        for d, host in reps.items():
+            for c, s in reps.items():
+                assert inside[d][c] == brute_hang_count(s, host)
 
 
 @settings(max_examples=100, deadline=None)
