@@ -24,15 +24,19 @@ from .errors import (
 from .io import TreeDocument, load_documents, parse_situation_spec
 from .partitions import (
     Expression,
-    count_partitions,
     count_shaped_partitions,
     potts_dichromate,
     q_chromatic,
     q_dichromate,
     u_polynomial,
 )
-from .shapecount import nonshaped_count, shaped_count
-from .situations import Situation, enumerate_situations, occurrences_by_inclusion_exclusion
+from .shapecount import _table_for, nonshaped_count, shaped_count
+from .situations import (
+    WHOLE_TREE,
+    Situation,
+    enumerate_situations,
+    occurrences_by_inclusion_exclusion,
+)
 from .trees import SideIndex, alpha_vector, free_code, render_code, rooted_code
 
 
@@ -123,9 +127,11 @@ def cmd_count(args) -> int:
     except ValueError:
         raise TreeInputError(f"bad expression {args.expr!r}") from None
     j = args.j
-    designated = count_partitions(t, e) * e.parts.count(t.total_weight - j)
-    x = nonshaped_count(t, j, e)
-    shaped = shaped_count(t, j, e)
+    # one table serves all three counts; shaped_count validates the query
+    tbl = _table_for(t, j, None)
+    shaped = shaped_count(t, j, e, tbl)
+    x = nonshaped_count(t, j, e, tbl)
+    designated = tbl.u_table(WHOLE_TREE).get(e, 0) * e.parts.count(t.total_weight - j)
     print(f"partitions={designated}")
     print(f"non-shaped={x}")
     print(f"shaped={shaped}")

@@ -19,6 +19,7 @@ from .errors import (
     ResourceBoundError,
     TreeInputError,
 )
+from .generate import multisets_of_weight
 from .partitions import Expression, sub_multisets
 from .situations import (
     WHOLE_TREE,
@@ -145,27 +146,6 @@ class ExpressionAnalysis:
     resolved_shape: CanonicalCode | None
 
 
-def _int_partitions(n: int):
-    """Descending partitions of n >= 1, in reverse lexicographic order.
-
-    Each step pops the trailing ones and the last part x above one, then
-    refills what was popped greedily with parts of at most x - 1.
-    """
-    parts: list[int] = []
-    x, rest = n, n
-    while True:
-        while rest:
-            parts.append(min(x, rest))
-            rest -= parts[-1]
-        yield tuple(parts)
-        while parts and parts[-1] == 1:
-            rest += parts.pop()
-        if not parts:
-            return
-        x = parts.pop() - 1
-        rest += x + 1
-
-
 def _proper_refinements(side: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All strictly finer multisets obtained by splitting the given parts.
 
@@ -178,8 +158,9 @@ def _proper_refinements(side: tuple[int, ...]) -> list[tuple[int, ...]]:
     for p in side:
         nxt = set()
         for base in level:
-            for q in _int_partitions(p):
-                nxt.add(tuple(sorted(base + q, reverse=True)))
+            # index i stands for a part of i + 1
+            for q in multisets_of_weight(range(1, p + 1), p):
+                nxt.add(tuple(sorted(base + tuple(i + 1 for i in q), reverse=True)))
                 if len(nxt) > MAX_REFINEMENTS:
                     raise ResourceBoundError(
                         f"refinements of {side} exceed MAX_REFINEMENTS={MAX_REFINEMENTS}: "
@@ -227,9 +208,6 @@ class ShapeCensus:
 
     total_weight: int
     entries: Mapping[CanonicalCode, int]
-
-    def weight_of(self, code: CanonicalCode) -> int:
-        return code_to_rooted_tree(code).weight
 
 
 def shape_census(t: WeightedTree) -> ShapeCensus:

@@ -43,7 +43,6 @@ from .trees import (
     SideIndex,
     WeightedTree,
     code_to_rooted_tree,
-    hang_count,
     hanging_subtrees,
     rooted_code,
 )
@@ -319,6 +318,14 @@ class ContainmentForest:
         return labs, arcs
 
 
+def _feasible_pairs(tbl: ContainmentTable, codes) -> tuple[tuple[int, int], ...]:
+    """Ordered index pairs (i, j), i != j, whose class i sits inside class j."""
+    ids = range(len(codes))
+    return tuple(
+        (i, j) for i in ids for j in ids if i != j and tbl.count(codes[i], codes[j]) > 0
+    )
+
+
 def build_containment_forest(
     f, s: Situation, feasible_pairs: frozenset[tuple[int, int]] | None = None
 ) -> ContainmentForest | None:
@@ -329,29 +336,26 @@ def build_containment_forest(
     transitive arcs.  Returns None (the empty intersection) when a required
     containment is impossible for the component classes.  `feasible_pairs`
     holds the ordered index pairs (i, j) whose class i can sit inside class j,
-    as read from a containment table; without it each pair is checked on the
-    component trees.
+    as read from a containment table; without it they are read from the
+    table of the components themselves, since class-in-class counts do not
+    depend on the host tree.
     """
     t = s.size
-    index_pairs = set(f)
-    for i, j in index_pairs:
+    arcs = set(f)
+    for i, j in arcs:
         if not (0 <= i < t and 0 <= j < t) or i == j:
             raise TreeInputError(f"bad index pair ({i}, {j})")
-
-    comps = s.components
-
-    def feasible(i: int, j: int) -> bool:
-        if feasible_pairs is not None:
-            return (i, j) in feasible_pairs
-        return hang_count(comps[i], comps[j]) > 0
-
-    for i, j in index_pairs:
-        if not feasible(i, j):
-            return None
+    if feasible_pairs is None:
+        comps = s.components
+        tbl = build_containment_table(comps[0].tree, comps)
+        feasible_pairs = frozenset(_feasible_pairs(tbl, s.codes))
+    if not arcs <= feasible_pairs:
+        return None
 
     # W1: if (x,y) and (x,z) are arcs and y,z unrelated, the smaller side
     # must sit inside the larger; infeasible forced arcs kill the whole set.
-    arcs: set[tuple[int, int]] = set(index_pairs)
+    # A rooted code holds two ints per vertex, so code lengths order sizes.
+    size = [len(c.code) for c in s.codes]
     changed = True
     while changed:
         changed = False
@@ -360,75 +364,36 @@ def build_containment_forest(
             for y, z in combinations(outs, 2):
                 if (y, z) in arcs or (z, y) in arcs:
                     continue
-                ny, nz = comps[y].n, comps[z].n
-                to_add = []
-                if ny <= nz:
-                    to_add.append((y, z))
-                if nz <= ny:
-                    to_add.append((z, y))
-                for a, b in to_add:
-                    if not feasible(a, b):
-                        return None
-                    arcs.add((a, b))
-                    changed = True
+                for a, b in ((y, z), (z, y)):
+                    if size[a] <= size[b]:
+                        if (a, b) not in feasible_pairs:
+                            return None
+                        arcs.add((a, b))
+                        changed = True
 
-    # W2: contract strongly connected pieces (directed cycles), merging labels
-    reach = {(i, i): True for i in range(t)}
-    for i, j in arcs:
-        reach[(i, j)] = True
+    # W2: contract directed cycles.  reach[i] is every index i reaches; a
+    # group is led by its least member, so groups keep index order.
+    reach = [{i} | {b for a, b in arcs if a == i} for i in range(t)]
     for k in range(t):
         for i in range(t):
-            for j in range(t):
-                if reach.get((i, k)) and reach.get((k, j)):
-                    reach[(i, j)] = True
-    group_of: dict[int, int] = {}
-    groups: list[set[int]] = []
-    for i in range(t):
-        for gid, g in enumerate(groups):
-            rep = next(iter(g))
-            if reach.get((i, rep)) and reach.get((rep, i)):
-                g.add(i)
-                group_of[i] = gid
-                break
-        else:
-            group_of[i] = len(groups)
-            groups.append({i})
-    merged_arcs = {
-        (group_of[i], group_of[j])
-        for i, j in arcs
-        if group_of[i] != group_of[j]
-    }
-    for g in groups:
-        codes = {s.codes[i] for i in g}
-        if len(codes) > 1:
-            raise InternalInconsistencyError("contracted cycle mixes component classes")
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    lead = [min(j for j in reach[i] if i in reach[j]) for i in range(t)]
+    leaders = sorted(set(lead))
+    group = [leaders.index(g) for g in lead]
 
-    # W3: transitive reduction of the condensation
-    k = len(groups)
-    adj = {i: [j for (a, j) in merged_arcs if a == i] for i in range(k)}
+    # W3: transitive reduction of the condensation: an arc goes when a third
+    # group lies between its ends
+    def between(x: int, y: int) -> bool:
+        lx, ly = leaders[x], leaders[y]
+        return any(group[z] not in (x, y) and ly in reach[z] for z in reach[lx])
 
-    def reaches(a: int, b: int, skip_direct: bool) -> bool:
-        stack = [(a, 0)]
-        seen = {a}
-        while stack:
-            v, depth = stack.pop()
-            for u in adj[v]:
-                if v == a and depth == 0 and skip_direct and u == b:
-                    continue
-                if u == b:
-                    return True
-                if u not in seen:
-                    seen.add(u)
-                    stack.append((u, depth + 1))
-        return False
-
-    reduced = {
-        (x, y) for x, y in merged_arcs if not reaches(x, y, skip_direct=True)
-    }
-
-    labels = tuple(frozenset(g) for g in groups)
-    classes = tuple(s.codes[next(iter(g))] for g in groups)
-    forest = ContainmentForest(labels, classes, frozenset(reduced))
+    merged = {(group[a], group[b]) for a, b in arcs if group[a] != group[b]}
+    forest = ContainmentForest(
+        tuple(frozenset(i for i in range(t) if lead[i] == g) for g in leaders),
+        tuple(s.codes[g] for g in leaders),
+        frozenset((x, y) for x, y in merged if not between(x, y)),
+    )
     forest.validate(s)
     return forest
 
@@ -443,22 +408,22 @@ def count_forest_assignments(host, forest: ContainmentForest, tbl: ContainmentTa
     host_key = rooted_code(host) if isinstance(host, RootedWeightedTree) else host
     if host_key is not WHOLE_TREE and not isinstance(host_key, CanonicalCode):
         raise TreeInputError(f"bad host {host!r}")
-    return _count_assignments(host_key, forest, tbl)
+    return _count_assignments(host_key, forest.classes, forest.arcs, tbl)
 
 
-def _count_assignments(host_key, forest: ContainmentForest, tbl: ContainmentTable) -> int:
-    # an arc (x, y) puts x inside y: each root's class is counted in the host,
-    # and the nodes right below it are assigned inside that class, and so on
-    parents = dict(forest.arcs)
+def _count_assignments(host_key, classes, arcs, tbl: ContainmentTable) -> int:
+    # node x has class classes[x]; an arc (x, y) puts x inside y: each root's
+    # class is counted in the host, and the nodes right below it are assigned
+    # inside that class, and so on
+    parents = dict(arcs)
     below: dict[int | None, list[int]] = {}
-    for x in range(len(forest.labels)):
+    for x in range(len(classes)):
         below.setdefault(parents.get(x), []).append(x)
 
     def count(nodes, host) -> int:
         total = 1
         for x in nodes:
-            cls = forest.classes[x]
-            total *= tbl.count(cls, host) * count(below.get(x, ()), cls)
+            total *= tbl.count(classes[x], host) * count(below.get(x, ()), classes[x])
         return total
 
     return count(below.get(None, ()), host_key)
@@ -542,13 +507,7 @@ def occurrences_by_inclusion_exclusion(
         return 0
 
     codes = s.codes
-    indices = range(s.size)
-    feasible_pairs = tuple(
-        (i, j)
-        for i in indices
-        for j in indices
-        if i != j and tbl.count(codes[i], codes[j]) > 0
-    )
+    feasible_pairs = _feasible_pairs(tbl, codes)
     key = _pattern_key(s, feasible_pairs)
     terms = _COMPILED_TERMS.get(key)
     if terms is None:
@@ -556,12 +515,8 @@ def occurrences_by_inclusion_exclusion(
 
     correction = 0
     for coef, labs, arcs in terms:
-        forest = ContainmentForest(
-            tuple(frozenset(lab) for lab in labs),
-            tuple(codes[lab[0]] for lab in labs),
-            frozenset(arcs),
-        )
-        correction += coef * _count_assignments(WHOLE_TREE, forest, tbl)
+        classes = [codes[lab[0]] for lab in labs]
+        correction += coef * _count_assignments(WHOLE_TREE, classes, arcs, tbl)
     result = lambda0 - correction
     if result < 0 or result > lambda0:
         raise InternalInconsistencyError(

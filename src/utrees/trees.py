@@ -160,12 +160,12 @@ def _rooted_parent_order(tree: WeightedTree, root: int):
     return parent, order
 
 
-def _flat_codes(t: RootedWeightedTree):
-    """(vertex, flat code of its downward subtree), children before parents.
+def rooted_code(t: RootedWeightedTree) -> CanonicalCode:
+    """Canonical code of a rooted weighted tree: its root's subtree code.
 
     A vertex contributes (weight, child count) followed by its child codes
     sorted in code order; the flattening is prefix-parseable, so two codes
-    are equal exactly for isomorphic rooted weighted subtrees.  A child's code
+    are equal exactly for isomorphic rooted weighted trees.  A child's code
     is dropped once its parent's is built: the codes still waiting belong to
     disjoint subtrees, so together they hold at most 2n ints.
     """
@@ -178,13 +178,6 @@ def _flat_codes(t: RootedWeightedTree):
         flat = tuple(chain((tree.weights[v], len(kids)), *kids))
         if parent[v] >= 0:
             waiting[parent[v]].append(flat)
-        yield v, flat
-
-
-def rooted_code(t: RootedWeightedTree) -> CanonicalCode:
-    """Canonical code of a rooted weighted tree: its root's subtree code."""
-    for _, flat in _flat_codes(t):
-        pass
     return CanonicalCode(flat)
 
 
@@ -409,10 +402,11 @@ def hang_count(s: RootedWeightedTree, h: RootedWeightedTree) -> int:
 
     The hanging subtrees of h that avoid its root are exactly the downward
     subtrees of its non-root vertices; the root's own entry is the equality
-    term.
+    term.  Both are read off the index's `inside` counts of h's class.
     """
-    target = rooted_code(s).code
-    return sum(1 for _, flat in _flat_codes(h) if flat == target)
+    idx = SideIndex(h.tree)
+    host = idx.add(h)
+    return idx.inside([host])[host][idx.add(s)]
 
 
 def alpha_vector(t: WeightedTree) -> tuple[int, ...]:

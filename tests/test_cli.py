@@ -1,6 +1,6 @@
 import json
 
-from utrees import cli, partitions
+from utrees import cli, partitions, trees
 from utrees.cli import main
 from utrees.io import TreeDocument
 
@@ -92,6 +92,27 @@ def test_count_with_oracle(tmp_path, capsys):
     assert "non-shaped=2" in out
     assert "shaped=4" in out
     assert "shaped-enumerated=4" in out
+
+
+def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
+    # one side index, and U-tables for the tree and its two classes below j
+    made = {"indexes": 0, "dps": 0}
+    init, dp = trees.SideIndex.__init__, partitions._u_table_dp
+
+    def counted_init(self, tree):
+        made["indexes"] += 1
+        init(self, tree)
+
+    def counted_dp(t):
+        made["dps"] += 1
+        return dp(t)
+
+    monkeypatch.setattr(trees.SideIndex, "__init__", counted_init)
+    monkeypatch.setattr(partitions, "_u_table_dp", counted_dp)
+    f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
+    assert main(["count", f, "--j", "3", "--expr", "2,2,1"]) == 0
+    assert capsys.readouterr().out == "partitions=6\nnon-shaped=2\nshaped=4\n"
+    assert made == {"indexes": 1, "dps": 3}
 
 
 def test_situations_and_m_count(tmp_path, capsys):

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +35,8 @@ from utrees.trees import (
 from helpers import (
     brute_hang_count,
     brute_rooted_isomorphic,
+    brute_sides,
+    cut_side,
     path,
     rooted,
     spider,
@@ -109,11 +111,13 @@ def test_occurrences_oracle_spider():
 
 def test_forest_single_arc():
     s = Situation.of([p2(), p2()])
-    forest = build_containment_forest({(0, 1)}, s)
-    assert forest is not None
-    assert len(forest.labels) == 2
-    assert len(forest.arcs) == 1
-    forest.validate(s)
+    # one arc is no cycle, whichever way it points between equal classes
+    for arc in ((0, 1), (1, 0)):
+        forest = build_containment_forest({arc}, s)
+        assert forest is not None
+        assert forest.labels == (frozenset({0}), frozenset({1}))
+        assert forest.arcs == frozenset({arc})
+        forest.validate(s)
 
 
 def test_forest_two_cycle_contracts():
@@ -304,13 +308,15 @@ def test_containment_table_matches_brute_counts(t):
 
 def test_table_route_makes_no_hang_count_call(monkeypatch):
     sp = spider(3, 3)
+    # the table is built from fresh trees, so s has built no component tree
+    tbl = build_containment_table(sp, [p2(), vertex()])
     s = Situation.of([p2(), p2(), vertex()])
-    tbl = build_containment_table(sp, s.components)
 
     def forbidden(*args):
-        raise AssertionError("hang_count called on the table route")
+        raise AssertionError("hang_count called or a tree built on the table route")
 
-    monkeypatch.setattr(situations, "hang_count", forbidden)
+    monkeypatch.setattr("utrees.trees.hang_count", forbidden)
+    monkeypatch.setattr(situations, "code_to_rooted_tree", forbidden)
     monkeypatch.setattr(tbl, "occurrences", {})
     monkeypatch.setattr(situations, "_COMPILED_TERMS", {})
     assert occurrences_by_inclusion_exclusion(sp, s, tbl) == occurrences_by_enumeration(sp, s)
@@ -339,3 +345,28 @@ def test_table_feasibility_matches_hang_count_route():
                     assert _forest_key(from_table) == _forest_key(from_trees), (t, s, f)
                     compared += 1
     assert compared > 1000
+
+
+def test_each_pair_set_forest_matches_brute_count():
+    # one intersection term of the inclusion-exclusion at a time, against the
+    # tuples of sides, one of each component's class, with side i inside side
+    # j for every (i, j) in the pair set; sides are cut by breadth-first search
+    rng = random.Random(108)
+    trees = [t for n in range(2, 8) for t in free_trees(n)]
+    trees += [random_weighted_tree(rng.randint(2, 7), 3, rng) for _ in range(40)]
+    checked = nonzero = 0
+    for t in trees:
+        tbl = build_containment_table(t, hanging_classes(t))
+        sides = [(rooted_code(cut_side(t, vs, r)), vs) for _, r, vs in brute_sides(t)]
+        for s in _small_situations(t):
+            tuples = list(product(*([vs for code, vs in sides if code == c] for c in s.codes)))
+            pairs = [(i, j) for i in range(s.size) for j in range(s.size) if i != j]
+            for size in range(1, len(pairs) + 1):
+                for f in combinations(pairs, size):
+                    want = sum(all(tup[i] <= tup[j] for i, j in f) for tup in tuples)
+                    forest = build_containment_forest(f, s)
+                    got = 0 if forest is None else count_forest_assignments(WHOLE_TREE, forest, tbl)
+                    assert got == want, (t, s, f)
+                    checked += 1
+                    nonzero += got > 0
+    assert checked > 6000 and nonzero > 3000
