@@ -106,15 +106,19 @@ def run_census(
     entries: list[tuple[str, WeightedTree]] = []
     goodset_ok = None
     if mode == "stanley":
-        if not 1 <= n_max <= STANLEY_MAX_N:
+        if n_max < 1:
+            raise TreeInputError(f"stanley census needs n_max >= 1, got {n_max}")
+        if n_max > STANLEY_MAX_N:
             raise ResourceBoundError(f"stanley census supports n_max <= {STANLEY_MAX_N}")
         for n in range(1, n_max + 1):
             for t in free_trees(n):
                 entries.append((fingerprint(t), t))
     elif mode == "goodset":
-        if not 3 <= n_max <= GOODSET_MAX_SOURCE_N:
+        if n_max < 3:
+            raise TreeInputError(f"goodset census needs n_max >= 3, got {n_max}")
+        if n_max > GOODSET_MAX_SOURCE_N:
             raise ResourceBoundError(
-                f"goodset census supports 3 <= n_max <= {GOODSET_MAX_SOURCE_N}"
+                f"goodset census supports n_max <= {GOODSET_MAX_SOURCE_N}"
             )
         rng = random.Random(seed)
         embedded = []

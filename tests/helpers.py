@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from collections import deque
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterator
 
 from hypothesis import strategies as st
 
 from utrees.partitions import _subset_components
+from utrees.situations import build_containment_forest
 from utrees.trees import Edge, RootedWeightedTree, WeightedTree
 
 
@@ -163,3 +164,19 @@ def brute_subset_sum(t: WeightedTree, x: int, f) -> int:
             term *= f(sum(t.weights[v] for v in comp))
         total += term
     return total
+
+
+def compile_terms_all_pair_sets(s, feasible_pairs) -> tuple[tuple[int, tuple, tuple], ...]:
+    """The inclusion-exclusion compile with one forest per nonempty subset of
+    `feasible_pairs` (as read by `_feasible_pairs` from one table), no
+    symmetry used: (net coefficient, labels, arcs) per canonical forest key."""
+    feasible = frozenset(feasible_pairs)
+    net: dict = {}
+    for size in range(1, len(feasible_pairs) + 1):
+        sign = 1 if size % 2 == 1 else -1
+        for f in combinations(feasible_pairs, size):
+            forest = build_containment_forest(f, s, feasible)
+            if forest is not None:
+                key = forest.canonical_key()
+                net[key] = net.get(key, 0) + sign
+    return tuple((coef, labs, arcs) for (labs, arcs), coef in net.items() if coef)

@@ -3,7 +3,7 @@ import pytest
 from utrees import census
 from utrees.census import fingerprint, run_census
 from utrees.cli import main
-from utrees.errors import ResourceBoundError
+from utrees.errors import ResourceBoundError, TreeInputError
 from utrees.generate import random_relabeling
 from utrees.trees import WeightedTree
 
@@ -58,6 +58,12 @@ def test_census_bounds():
         run_census(n_max=11, mode="stanley")
     with pytest.raises(ResourceBoundError):
         run_census(n_max=9, mode="goodset")
+    # a size below the supported range is an input error, not a resource bound
+    for n_max in (0, -1):
+        with pytest.raises(TreeInputError, match="n_max >= 1"):
+            run_census(n_max=n_max, mode="stanley")
+    with pytest.raises(TreeInputError, match="n_max >= 3"):
+        run_census(n_max=2, mode="goodset")
 
 
 def test_stanley_census_computes_no_codes_when_fingerprints_differ(monkeypatch, capsys):

@@ -168,6 +168,27 @@ def test_census_cli(capsys):
     assert out.endswith("separates\n")
 
 
+def test_census_size_range_exit_codes(capsys):
+    for argv in (["--max-n", "0"], ["--max-n", "-1"], ["--mode", "goodset", "--max-n", "2"]):
+        assert main(["census", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+    assert main(["census", "--max-n", "11"]) == 3
+    assert main(["census", "--mode", "goodset", "--max-n", "8"]) == 3
+    assert "resource bound" in capsys.readouterr().err
+
+
+def test_situations_weight_below_one(tmp_path, capsys):
+    f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
+    for weight in ("0", "-3"):
+        assert main(["situations", f, "--weight", weight]) == 2
+        err = capsys.readouterr().err
+        assert f"target weight {weight} must be at least 1" in err
+        assert "exceeds half" not in err
+    assert main(["situations", f, "--weight", "4"]) == 2
+    assert "target weight 4 exceeds half of w(T)=5" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["canon", missing]) == 2

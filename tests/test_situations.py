@@ -16,6 +16,9 @@ from utrees.situations import (
     WHOLE_TREE,
     ContainmentForest,
     Situation,
+    _count_assignments,
+    _feasible_pairs,
+    _pattern_key,
     build_containment_forest,
     build_containment_table,
     count_forest_assignments,
@@ -36,6 +39,7 @@ from helpers import (
     brute_hang_count,
     brute_rooted_isomorphic,
     brute_sides,
+    compile_terms_all_pair_sets,
     cut_side,
     path,
     rooted,
@@ -243,15 +247,6 @@ def _small_situations(t: WeightedTree):
                 yield s
 
 
-def _table_feasible(tbl, s: Situation) -> frozenset:
-    return frozenset(
-        (i, j)
-        for i in range(s.size)
-        for j in range(s.size)
-        if i != j and tbl.class_counts[(s.codes[i], s.codes[j])] > 0
-    )
-
-
 @settings(max_examples=100, deadline=None)
 @given(weighted_trees(), st.randoms(use_true_random=False))
 def test_compiled_route_matches_oracle(t, rng):
@@ -336,7 +331,7 @@ def test_table_feasibility_matches_hang_count_route():
     for t in trees:
         tbl = build_containment_table(t, hanging_classes(t))
         for s in _small_situations(t):
-            feasible = _table_feasible(tbl, s)
+            feasible = frozenset(_feasible_pairs(tbl, s.codes))
             pairs = [(i, j) for i in range(s.size) for j in range(s.size) if i != j]
             for size in range(1, len(pairs) + 1):
                 for f in combinations(pairs, size):
@@ -360,13 +355,74 @@ def test_each_pair_set_forest_matches_brute_count():
         sides = [(rooted_code(cut_side(t, vs, r)), vs) for _, r, vs in brute_sides(t)]
         for s in _small_situations(t):
             tuples = list(product(*([vs for code, vs in sides if code == c] for c in s.codes)))
+            feasible = frozenset(_feasible_pairs(tbl, s.codes))
             pairs = [(i, j) for i in range(s.size) for j in range(s.size) if i != j]
             for size in range(1, len(pairs) + 1):
                 for f in combinations(pairs, size):
                     want = sum(all(tup[i] <= tup[j] for i, j in f) for tup in tuples)
-                    forest = build_containment_forest(f, s)
+                    forest = build_containment_forest(f, s, feasible)
                     got = 0 if forest is None else count_forest_assignments(WHOLE_TREE, forest, tbl)
                     assert got == want, (t, s, f)
                     checked += 1
                     nonzero += got > 0
     assert checked > 6000 and nonzero > 3000
+
+
+def _terms_value(terms, s: Situation, tbl) -> int:
+    return sum(
+        coef * _count_assignments(WHOLE_TREE, [s.codes[lab[0]] for lab in labs], arcs, tbl)
+        for coef, labs, arcs in terms
+    )
+
+
+# pattern key -> the oracle's terms; the all-pair-sets compile of four
+# components of one class builds 4,095 forests, so each key is compiled once
+_ORACLE_TERMS: dict = {}
+
+
+def _check_orbit_compile(t: WeightedTree) -> int:
+    """Compare the orbit compile with the all-pair-sets oracle on every
+    situation of t with at most four components; returns how many."""
+    tbl = build_containment_table(t, hanging_classes(t))
+    checked = 0
+    for target in range(2, (t.total_weight + 1) // 2 + 1):
+        for s in enumerate_situations(t, target):
+            if s.size > situations.MAX_COMPONENTS:
+                continue
+            feasible = _feasible_pairs(tbl, s.codes)
+            key = _pattern_key(s, feasible)
+            if key not in _ORACLE_TERMS:
+                _ORACLE_TERMS[key] = compile_terms_all_pair_sets(s, feasible)
+            got = _terms_value(situations._compile_terms(s, feasible), s, tbl)
+            assert got == _terms_value(_ORACLE_TERMS[key], s, tbl), (t, s)
+            checked += 1
+    return checked
+
+
+def test_orbit_compile_matches_all_pair_sets_on_criterion_6_corpus():
+    rng = random.Random(105)
+    trees = [t for n in range(2, 8) for t in free_trees(n)]
+    trees += [random_weighted_tree(rng.randint(2, 7), 3, rng) for _ in range(100)]
+    assert sum(_check_orbit_compile(t) for t in trees) > 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_trees(max_n=7, max_weight=3), st.randoms(use_true_random=False))
+def test_orbit_compile_matches_all_pair_sets(t, rng):
+    _check_orbit_compile(t)
+    _check_orbit_compile(random_relabeling(t, rng))
+
+
+def test_four_equal_components_build_one_forest_per_orbit(monkeypatch):
+    # four single vertices on the 8-vertex unit star: 7*6*5*4 ordered leaf
+    # choices; the 217 orbits are the nonempty digraphs on four unlabelled
+    # nodes, where every pair set would take 4,095 builds
+    calls = []
+    real = situations.build_containment_forest
+    monkeypatch.setattr(
+        situations, "build_containment_forest", lambda *a: calls.append(a) or real(*a)
+    )
+    monkeypatch.setattr(situations, "_COMPILED_TERMS", {})
+    s = Situation.of([vertex()] * 4)
+    assert occurrences_by_inclusion_exclusion(star(1, *[1] * 7), s) == 840
+    assert len(calls) == 217
