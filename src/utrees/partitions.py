@@ -85,10 +85,11 @@ class ExpressionCounts:
 
     def canonical_text(self) -> str:
         """Byte-stable serialization: header plus descending-lex entries."""
+        items = sorted(self.counts.items(), key=lambda item: item[0].parts, reverse=True)
+        # each distinct part is formatted once
+        text = {p: str(p) for p in set().union(*[e.parts for e, _ in items])}
         lines = [f"n={self.n} w={self.total_weight} z={self.z_exponent}"]
-        pairs = sorted(((e.parts, c) for e, c in self.counts.items()), reverse=True)
-        for parts, count in pairs:
-            lines.append(f"{','.join(map(str, parts))}: {count}")
+        lines += [f"{','.join([text[p] for p in e.parts])}: {c}" for e, c in items]
         return "\n".join(lines) + "\n"
 
 
@@ -154,44 +155,71 @@ def _u_table_brute(t: WeightedTree) -> dict[Expression, int]:
     return table
 
 
-def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
-    """Descending part tuple -> number of edge subsets with those component weights."""
+def _child_lists(t: WeightedTree) -> tuple[list[int], list[list[int]]]:
+    """Preorder of t rooted at 0, and each vertex's children in that order."""
     parent, order = _rooted_parent_order(t, 0)
     children: list[list[int]] = [[] for _ in range(t.n)]
     for v in order[1:]:
         children[parent[v]].append(v)
-    # state per vertex: (closed parts within its subtree, descending; open weight) -> count
-    states: list[dict[tuple[tuple[int, ...], int], int]] = [dict() for _ in range(t.n)]
+    return order, children
+
+
+def _state_cap_error(dp: str, size: int, what: str) -> ResourceBoundError:
+    return ResourceBoundError(f"{dp} reached {size} {what} at one vertex; cap is {DP_STATE_CAP}")
+
+
+def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
+    """Descending part tuple -> number of edge subsets with those component weights.
+
+    A vertex's state maps the descending tuple of the parts closed within
+    its subtree to a count.  The part still open at the vertex weighs the
+    subtree's weight less those parts, so it needs no key of its own.  The
+    root's last child merge closes the root's part and yields the table.
+    """
+    order, children = _child_lists(t)
+    weight = list(t.weights)  # a vertex's subtree weight, once its children are merged
+    states: list[dict[tuple[int, ...], int]] = [{} for _ in range(t.n)]
     for v in reversed(order):
-        st = {((), t.weights[v]): 1}
+        st = {(): 1}
+        last = children[v][-1] if v == 0 and children[v] else -1
         for c in children[v]:
             # per child state: closed parts, open weight, closed parts once the edge is cut
-            kids = [(ec, oc, tuple(sorted(ec + (oc,), reverse=True)), cc)
-                    for (ec, oc), cc in states[c].items()]
+            kids = []
+            for ec, cc in states[c].items():
+                oc = weight[c] - sum(ec)
+                kids.append((ec, oc, tuple(sorted(ec + (oc,), reverse=True)), cc))
             states[c] = {}
-            nxt: dict[tuple[tuple[int, ...], int], int] = {}
+            nxt: dict[tuple[int, ...], int] = {}
             get = nxt.get
-            for (ep, op), cp in st.items():
-                for ec, oc, cut, cc in kids:
-                    m = cp * cc
-                    # cut the edge: the child's open part closes
-                    key = (tuple(sorted(ep + cut, reverse=True)) if ep else cut, op)
-                    nxt[key] = get(key, 0) + m
-                    # keep the edge: absorb the child's open part
-                    key = (tuple(sorted(ep + ec, reverse=True)) if ep else ec, op + oc)
-                    nxt[key] = get(key, 0) + m
-                if len(nxt) > DP_STATE_CAP:
-                    raise ResourceBoundError(
-                        f"U-table DP reached {len(nxt)} states at one vertex; "
-                        f"cap is {DP_STATE_CAP}"
-                    )
+            if c != last:
+                for ep, cp in st.items():
+                    for ec, oc, cut, cc in kids:
+                        m = cp * cc
+                        # cut the edge: the child's open part closes
+                        key = tuple(sorted(ep + cut, reverse=True)) if ep else cut
+                        nxt[key] = get(key, 0) + m
+                        # keep the edge: the child's open part joins v's
+                        key = tuple(sorted(ep + ec, reverse=True)) if ep else ec
+                        nxt[key] = get(key, 0) + m
+                    if len(nxt) > DP_STATE_CAP:
+                        raise _state_cap_error("U-table DP", len(nxt), "states")
+            else:
+                # as above, with the root's open part op closed as well
+                for ep, cp in st.items():
+                    op = weight[v] - sum(ep)
+                    epo = ep + (op,)
+                    for ec, oc, cut, cc in kids:
+                        m = cp * cc
+                        key = tuple(sorted(epo + cut, reverse=True))
+                        nxt[key] = get(key, 0) + m
+                        key = tuple(sorted(ep + ec + (op + oc,), reverse=True))
+                        nxt[key] = get(key, 0) + m
+                    if len(nxt) > DP_STATE_CAP:
+                        raise _state_cap_error("U-table DP", len(nxt), "states")
+            weight[v] += weight[c]
             st = nxt
         states[v] = st
-    table: dict[tuple[int, ...], int] = {}
-    for (ep, op), cnt in states[0].items():
-        e = tuple(sorted(ep + (op,), reverse=True))
-        table[e] = table.get(e, 0) + cnt
-    return table
+    return states[0] if children[0] else {(weight[0],): 1}
 
 
 def _u_table(t: WeightedTree, mode: str) -> Mapping[Expression, int]:
@@ -214,6 +242,8 @@ def count_partitions(t: WeightedTree, e: Expression, mode: str = "dp") -> int:
     """Connected partitions of t with characteristic e (0 if e misses w(T))."""
     if e.total != t.total_weight:
         return 0
+    if mode == "dp":
+        return _u_table_dp(t).get(e.parts, 0)
     return _u_table(t, mode).get(e, 0)
 
 
@@ -307,19 +337,41 @@ def _check_colouring_enumerable(k: int, n: int):
 def _evaluate(t: WeightedTree, x: int, f: Callable[[int], int]) -> int:
     """Sum over edge subsets A of x**|A| * prod of f(w(C)) over the components C.
 
-    Read from the U-table: an expression E with count(E) stands for count(E)
-    edge subsets, each of size n - len(E) and with component weights E.
+    A vertex's state maps the weight of the part still open at it to the sum,
+    over the edge subsets within its subtree that leave it that open weight,
+    of x**|A| times f of each closed part.
     """
-    table = _u_table_dp(t)
-    f_of = {p: f(p) for p in {p for parts in table for p in parts}}
-    total = 0
-    for parts, count in table.items():
-        term = count * x ** (t.n - len(parts))
-        if term:
-            for p in parts:
-                term *= f_of[p]
-            total += term
-    return total
+    order, children = _child_lists(t)
+    f_of: dict[int, int] = {}
+
+    def closed(st: dict[int, int]) -> int:
+        total = 0
+        for o, val in st.items():
+            if o not in f_of:
+                f_of[o] = f(o)
+            total += val * f_of[o]
+        return total
+
+    states: list[dict[int, int]] = [{} for _ in range(t.n)]
+    for v in reversed(order):
+        st = {t.weights[v]: 1}
+        for c in children[v]:
+            kid = states[c]
+            states[c] = {}
+            cut = closed(kid)  # the child's open part closes
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            for op, vp in st.items():
+                nxt[op] = get(op, 0) + vp * cut
+                xv = x * vp  # keep the edge: the child's open part joins v's
+                for oc, vc in kid.items():
+                    o = op + oc
+                    nxt[o] = get(o, 0) + xv * vc
+            if len(nxt) > DP_STATE_CAP:
+                raise _state_cap_error("evaluator DP", len(nxt), "open weights")
+            st = nxt
+        states[v] = st
+    return closed(states[0])
 
 
 def q_chromatic(t: WeightedTree, k: int, q: int, mode: str = "subsets") -> int:
@@ -327,8 +379,8 @@ def q_chromatic(t: WeightedTree, k: int, q: int, mode: str = "subsets") -> int:
 
     Colourings mode sums q**(sum of s(v) * w(v)) over proper colourings
     s: V -> {0..k-1}; subsets mode evaluates the alternating edge-subset
-    expansion, with the q-integer [k]_(q**w(C)) per component C, from the
-    U-table.  Both agree exactly.
+    expansion, with the q-integer [k]_(q**w(C)) per component C, by the
+    open-weight DP.  Both agree exactly.
     """
     if k < 1 or q < 2:
         raise TreeInputError("need k >= 1 and q >= 2")
@@ -347,7 +399,7 @@ def q_chromatic(t: WeightedTree, k: int, q: int, mode: str = "subsets") -> int:
 
 def q_dichromate(t: WeightedTree, x: int, y: int, q: int) -> int:
     """Edge-subset expansion with x**|A| and, per component C, the q-integer
-    [y]_(q**w(C)); evaluated from the U-table."""
+    [y]_(q**w(C)); evaluated by the open-weight DP."""
     if y < 1 or q < 2:
         raise TreeInputError("need y >= 1 and q >= 2")
     return _evaluate(t, x, lambda p: q_integer(y, q**p))
@@ -359,7 +411,7 @@ def potts_dichromate(
     """Potts-style sum with a field term; subset and colouring routes agree.
 
     Subsets: sum over edge subsets of x**|A| times, per component C,
-    sum_{i<k} r**(weight(C) * q**i), evaluated from the U-table.  Colourings:
+    sum_{i<k} r**(weight(C) * q**i), evaluated by the open-weight DP.  Colourings:
     sum over all maps s: V -> {0..k-1} of
     (x+1)**(#monochromatic edges) * r**(sum q**s(v) * w(v)).
     """

@@ -8,7 +8,7 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
-from utrees.partitions import _subset_components
+from utrees.partitions import ExpressionCounts, _subset_components, _u_table_dp
 from utrees.situations import build_containment_forest
 from utrees.trees import Edge, RootedWeightedTree, WeightedTree
 
@@ -164,6 +164,31 @@ def brute_subset_sum(t: WeightedTree, x: int, f) -> int:
             term *= f(sum(t.weights[v] for v in comp))
         total += term
     return total
+
+
+def table_evaluate(t: WeightedTree, x: int, f) -> int:
+    """Sum over edge subsets A of x**|A| * prod of f(w(C)) over the components C,
+    read from the U-table: an expression E with count(E) stands for count(E)
+    edge subsets, each of size n - len(E) and with component weights E."""
+    table = _u_table_dp(t)
+    f_of = {p: f(p) for p in {p for parts in table for p in parts}}
+    total = 0
+    for parts, count in table.items():
+        term = count * x ** (t.n - len(parts))
+        if term:
+            for p in parts:
+                term *= f_of[p]
+            total += term
+    return total
+
+
+def sorted_pairs_text(u: ExpressionCounts) -> str:
+    """Canonical text rendered by sorting (parts, count) pairs and formatting
+    every part anew."""
+    lines = [f"n={u.n} w={u.total_weight} z={u.z_exponent}"]
+    for parts, count in sorted(((e.parts, c) for e, c in u.counts.items()), reverse=True):
+        lines.append(f"{','.join(map(str, parts))}: {count}")
+    return "\n".join(lines) + "\n"
 
 
 def compile_terms_all_pair_sets(s, feasible_pairs) -> tuple[tuple[int, tuple, tuple], ...]:

@@ -156,9 +156,15 @@ def test_eval_rejects_bad_parameters(tmp_path, capsys):
 
 def test_eval_dp_state_cap_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(partitions, "DP_STATE_CAP", 1000)
-    f = write_doc(tmp_path, "p60.json", path(*([1] * 60)))
+    # the centre's open weights are 1 + each subset sum of the leaves: 2^12
+    f = write_doc(tmp_path, "s12.json", star(1, *(2**i for i in range(12))))
     assert main(["eval", "M", f]) == 3
     assert "cap is 1000" in capsys.readouterr().err
+    # a unit path has at most n open weights at a vertex; its two proper
+    # 2-colourings each give q^30
+    f = write_doc(tmp_path, "p60.json", path(*([1] * 60)))
+    assert main(["eval", "M", f, "--k", "2"]) == 0
+    assert capsys.readouterr().out == f"{2 * 2**30}\n"
 
 
 def test_census_cli(capsys):

@@ -23,7 +23,14 @@ from utrees.partitions import (
 )
 from utrees.trees import WeightedTree
 
-from helpers import brute_subset_sum, path, star, weighted_trees
+from helpers import (
+    brute_subset_sum,
+    path,
+    sorted_pairs_text,
+    star,
+    table_evaluate,
+    weighted_trees,
+)
 
 
 def E(*parts):
@@ -108,6 +115,19 @@ def test_dp_table_matches_brute(t, rng):
             checked = Expression(e.parts)
             assert e == checked and hash(e) == hash(checked)
             assert count_partitions(u, Expression.of(reversed(e.parts))) == count
+
+
+def test_canonical_text_sorts_parts_as_integers():
+    # as strings, "10,9,1" would sort above "10,10"
+    u = u_polynomial(path(10, 9, 1))
+    assert u.canonical_text() == "n=3 w=20 z=-17\n20: 1\n19,1: 1\n10,10: 1\n10,9,1: 1\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_trees(max_n=9, max_weight=15))
+def test_canonical_text_matches_sorted_pairs_rendering(t):
+    u = u_polynomial(t)
+    assert u.canonical_text() == sorted_pairs_text(u)
 
 
 def test_count_partitions():
@@ -251,6 +271,34 @@ def test_evaluators_match_subset_oracle(t, x, k, q, r, rng):
     m = brute_subset_sum(t, -1, lambda p: q_integer(k, q**p))
     b = brute_subset_sum(t, x, lambda p: q_integer(k, q**p))
     br = brute_subset_sum(t, x, lambda p: sum(r ** (p * q**i) for i in range(k)))
+    for u in (t, random_relabeling(t, rng)):
+        assert q_chromatic(u, k, q, "subsets") == m
+        assert q_dichromate(u, x, k, q) == b
+        assert potts_dichromate(u, x, k, q, r, "subsets") == br
+
+
+def test_count_partitions_reads_the_dp_table(monkeypatch):
+    def no_table(*_):
+        raise AssertionError("count_partitions wrapped the whole table")
+
+    monkeypatch.setattr(partitions, "_u_table", no_table)
+    assert count_partitions(path(1, 1, 1, 1, 1), E(3, 1, 1)) == 3
+    assert count_partitions(star(1, 1, 1, 1), E(2, 2)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weighted_trees(max_n=14, max_weight=4),
+    st.sampled_from((-1, 0, 1, 2)),
+    st.sampled_from((1, 2, 3)),
+    st.sampled_from((2, 3)),
+    st.sampled_from((2, 3)),
+    st.randoms(use_true_random=False),
+)
+def test_evaluators_match_table_route(t, x, k, q, r, rng):
+    m = table_evaluate(t, -1, lambda p: q_integer(k, q**p))
+    b = table_evaluate(t, x, lambda p: q_integer(k, q**p))
+    br = table_evaluate(t, x, lambda p: sum(r ** (p * q**i) for i in range(k)))
     for u in (t, random_relabeling(t, rng)):
         assert q_chromatic(u, k, q, "subsets") == m
         assert q_dichromate(u, x, k, q) == b
