@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 
 from .census import run_census
 from .embedding import check_good, good_decode, good_encode
@@ -166,13 +167,15 @@ def cmd_m_count(args) -> int:
 def cmd_eval(args) -> int:
     t = _load_one(args.file).tree()
     if args.kind == "M":
-        print(q_chromatic(t, args.k, args.q, args.mode))
+        value = q_chromatic(t, args.k, args.q, args.mode)
     elif args.kind == "B":
         if args.mode != "subsets":
             raise TreeInputError(f"B has no {args.mode} route; use --mode subsets")
-        print(q_dichromate(t, args.x, args.y, args.q))
+        value = q_dichromate(t, args.x, args.y, args.q)
     else:
-        print(potts_dichromate(t, args.x, args.k, args.q, args.r, args.mode))
+        value = potts_dichromate(t, args.x, args.k, args.q, args.r, args.mode)
+    # Decimal prints an exact int of any size; str() refuses past 4,300 digits
+    print(Decimal(value))
     return 0
 
 

@@ -351,20 +351,18 @@ def check_good(trees) -> GoodSetReport:
             key = tuple(sorted(code.code[0::2]))
             restricted = 2 * idx.weight[c] <= half
             buckets.setdefault(key, []).append((i, code, restricted))
-    violation = None
+    # in a bucket of two or more codes every entry has a partner with another
+    # code, so the witness is the first restricted entry and its first partner
     for key in sorted(buckets):
         entries = buckets[key]
-        for i in range(len(entries)):
-            for j in range(len(entries)):
-                a, b = entries[i], entries[j]
-                if a[1] != b[1] and a[2]:
-                    violation = ShapeMatchViolation(a[0], b[0], key, a[1], b[1])
-                    break
-            if violation:
-                break
-        if violation:
-            break
-    return GoodSetReport(tuple(reports), violation)
+        a = next((e for e in entries if e[2]), None)
+        if a is None:
+            continue
+        b = next((e for e in entries if e[1] != a[1]), None)
+        if b is not None:
+            violation = ShapeMatchViolation(a[0], b[0], key, a[1], b[1])
+            return GoodSetReport(tuple(reports), violation)
+    return GoodSetReport(tuple(reports), None)
 
 
 def embedding_isomorphic(a: GoodEmbedding, b: GoodEmbedding) -> bool:

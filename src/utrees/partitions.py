@@ -19,6 +19,11 @@ from .trees import WeightedTree, _rooted_parent_order
 BRUTE_VERTEX_CAP = 22
 DP_STATE_CAP = 500_000
 COLOURING_ENUM_CAP = 4**10
+# estimated bits of the largest value a part contributes to M, B or Br; the
+# subsets route builds one per distinct open weight, at most w(T) of them, so
+# the cap bounds that work by about its square (a star whose 15 leaves weigh
+# 2^0..2^14 reaches it, and M at k = 2 answers in about 3 s)
+VALUE_BITS_CAP = 2**15
 
 
 @dataclass(frozen=True, slots=True)
@@ -329,6 +334,13 @@ def q_integer(k: int, base: int) -> int:
     return sum(base**i for i in range(k))
 
 
+def _check_value_bits(bits: int):
+    if bits > VALUE_BITS_CAP:
+        raise ResourceBoundError(
+            f"evaluator values reach an estimated {bits} bits; cap is VALUE_BITS_CAP={VALUE_BITS_CAP}"
+        )
+
+
 def _check_colouring_enumerable(k: int, n: int):
     if k**n > COLOURING_ENUM_CAP:
         raise ResourceBoundError(f"{k}^{n} colourings exceed the enumeration cap")
@@ -374,6 +386,16 @@ def _evaluate(t: WeightedTree, x: int, f: Callable[[int], int]) -> int:
     return closed(states[0])
 
 
+def _q_integers(k: int, q: int, w: int) -> Callable[[int], int]:
+    """p -> [k]_(q**p) for parts up to weight w, refused past VALUE_BITS_CAP
+    since [k]_(q**w) < 2 * q**((k-1)*w) and log2(q) <= (q-1).bit_length();
+    k = 1 makes every value 1 and builds no power of q."""
+    _check_value_bits((k - 1) * w * (q - 1).bit_length())
+    if k == 1:
+        return lambda p: 1
+    return lambda p: q_integer(k, q**p)
+
+
 def q_chromatic(t: WeightedTree, k: int, q: int, mode: str = "subsets") -> int:
     """Weighted q-chromatic value: proper k-colourings graded by q.
 
@@ -384,6 +406,7 @@ def q_chromatic(t: WeightedTree, k: int, q: int, mode: str = "subsets") -> int:
     """
     if k < 1 or q < 2:
         raise TreeInputError("need k >= 1 and q >= 2")
+    f = _q_integers(k, q, t.total_weight)  # refuses values past the cap on either route
     if mode == "colourings":
         _check_colouring_enumerable(k, t.n)
         total = 0
@@ -393,7 +416,7 @@ def q_chromatic(t: WeightedTree, k: int, q: int, mode: str = "subsets") -> int:
             total += q ** sum(s[v] * t.weights[v] for v in range(t.n))
         return total
     if mode == "subsets":
-        return _evaluate(t, -1, lambda p: q_integer(k, q**p))
+        return _evaluate(t, -1, f)
     raise TreeInputError(f"unknown mode {mode!r}")
 
 
@@ -402,7 +425,7 @@ def q_dichromate(t: WeightedTree, x: int, y: int, q: int) -> int:
     [y]_(q**w(C)); evaluated by the open-weight DP."""
     if y < 1 or q < 2:
         raise TreeInputError("need y >= 1 and q >= 2")
-    return _evaluate(t, x, lambda p: q_integer(y, q**p))
+    return _evaluate(t, x, _q_integers(y, q, t.total_weight))
 
 
 def potts_dichromate(
@@ -417,6 +440,10 @@ def potts_dichromate(
     """
     if k < 1 or q < 2 or r < 2:
         raise TreeInputError("need k >= 1, q >= 2, r >= 2")
+    # the largest value is r**(w(T) * q**(k-1)); q**(k-1) alone passes the
+    # cap once k - 1 reaches the cap's bit length
+    spread = q ** min(k - 1, VALUE_BITS_CAP.bit_length())
+    _check_value_bits(t.total_weight * spread * (r - 1).bit_length())
     if mode == "subsets":
         return _evaluate(t, x, lambda p: sum(r ** (p * q**i) for i in range(k)))
     if mode == "colourings":

@@ -3,25 +3,18 @@
 A situation is a weight-sorted tuple of at least two rooted weighted trees,
 held as their rooted codes.  It occurs in T when all components hang off one
 connected subtree by distinct edges.  Occurrences are counted as ordered
-tuples; the direct enumerator is the oracle, and the table route reproduces
-it through inclusion-exclusion over forced-containment pairs, cycle
-contraction, and a product recursion over the resulting arborescence forest.
+tuples; the direct enumerator is the oracle.  The table route reads the
+count off a containment table as a product over the components, heaviest
+first, of the sides each has left once the heavier ones are chosen.
 
-Counting here uses hanging subtrees of every size, with containment of a
-class in a host including the host itself; the spider example in the tests
-shows why the equality term is required for the inclusion-exclusion to
-close.
-
-The signed sum of forests depends on the situation only through its
-containment pattern: the component count, which ordered pairs may nest
-(read from the containment table), how the components' vertex counts
-compare, and which components share a class.  The forest pipeline reads
-nothing else, so the sum is compiled once per pattern into net-coefficient
-forests over component indices, and each query only evaluates those forests
-against its own table.  Which components share a class also fixes the
-pattern's symmetry group, the permutations within each block of equal
-classes: the compile builds one forest per orbit of pair sets under that
-group and weights it by the orbit size.
+The paper's construction of the same count, inclusion-exclusion over
+forced-containment pairs with cycle contraction and a product recursion
+over the resulting arborescence forest, stays public
+(`build_containment_forest`, `count_forest_assignments`); the tests sum it
+over every pair set as a second oracle.  Counting uses hanging subtrees of
+every size, with containment of a class in a host including the host
+itself; the spider example in the tests shows why the equality term is
+required for either route to close.
 """
 
 from __future__ import annotations
@@ -29,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Mapping
 
 from .errors import (
@@ -49,8 +42,6 @@ from .trees import (
     hanging_subtrees,
     rooted_code,
 )
-
-MAX_COMPONENTS = 4
 
 # situations one enumerate_situations call may list: the test suite and the
 # shaped benchmark corpus need at most 31, a 200-vertex unit path at weight
@@ -116,17 +107,16 @@ class ContainmentTable:
     """Counts of each component class inside the tree and inside each class.
 
     A table belongs to the tree it was built for, and carries that tree's
-    SideIndex.  The table route fills four memos on it: the situations of
-    each weight, occurrence counts by situation codes, and the U-tables of
-    the tree (key WHOLE_TREE) and of component classes (key: the class's
-    code).  They live exactly as long as the caller keeps the table.
+    SideIndex.  The table route fills three memos on it: the situations of
+    each weight, and the U-tables of the tree (key WHOLE_TREE) and of
+    component classes (key: the class's code).  They live exactly as long
+    as the caller keeps the table.
     """
 
     index: SideIndex
     tree_counts: dict[CanonicalCode, int]
     class_counts: dict[tuple[CanonicalCode, CanonicalCode], int]
     situations: dict[int, tuple[Situation, ...]] = field(default_factory=dict)
-    occurrences: dict[tuple[CanonicalCode, ...], int] = field(default_factory=dict)
     u_tables: dict[CanonicalCode | None, Mapping[Expression, int]] = field(default_factory=dict)
 
     def count(self, component: CanonicalCode, host) -> int:
@@ -413,14 +403,10 @@ def count_forest_assignments(host, forest: ContainmentForest, tbl: ContainmentTa
     host_key = rooted_code(host) if isinstance(host, RootedWeightedTree) else host
     if host_key is not WHOLE_TREE and not isinstance(host_key, CanonicalCode):
         raise TreeInputError(f"bad host {host!r}")
-    return _count_assignments(host_key, forest.classes, forest.arcs, tbl)
-
-
-def _count_assignments(host_key, classes, arcs, tbl: ContainmentTable) -> int:
-    # node x has class classes[x]; an arc (x, y) puts x inside y: each root's
-    # class is counted in the host, and the nodes right below it are assigned
-    # inside that class, and so on
-    parents = dict(arcs)
+    # each root's class is counted in the host, and the nodes right below it
+    # are assigned inside that class, and so on
+    classes = forest.classes
+    parents = dict(forest.arcs)
     below: dict[int | None, list[int]] = {}
     for x in range(len(classes)):
         below.setdefault(parents.get(x), []).append(x)
@@ -434,122 +420,38 @@ def _count_assignments(host_key, classes, arcs, tbl: ContainmentTable) -> int:
     return count(below.get(None, ()), host_key)
 
 
-# containment pattern -> ((coefficient, labels, arcs), ...); see _pattern_key
-_COMPILED_TERMS: dict[tuple, tuple[tuple[int, tuple, tuple], ...]] = {}
-
-
-def _pattern_key(s: Situation, feasible_pairs: tuple[tuple[int, int], ...]) -> tuple:
-    """Everything of s that the compile reads, as small ints.
-
-    The component count, the feasible ordered pairs, each component's rank
-    among the distinct vertex counts (W1 only compares them), and for each
-    component the first index with the same class.  W2 and validation only
-    test classes for equality, and the equal-class blocks are the symmetry
-    group whose orbits `_compile_terms` enumerates, so `first_equal` fixes
-    the group as well as the forests.
-    """
-    # a rooted code holds two ints per vertex
-    sizes = sorted({len(c.code) for c in s.codes})
-    ranks = tuple(sizes.index(len(c.code)) for c in s.codes)
-    first_equal = tuple(s.codes.index(code) for code in s.codes)
-    return s.size, feasible_pairs, ranks, first_equal
-
-
-def _compile_terms(s: Situation, feasible_pairs: tuple[tuple[int, int], ...]):
-    """Net signed forests of the inclusion-exclusion over feasible pair sets,
-    one forest per orbit of pair sets.
-
-    The group permutes components within each block of equal classes.  Such
-    a permutation maps the tuples counted for a pair set one-to-one onto
-    those of its image, and keeps the feasible pairs feasible, since
-    feasibility depends only on classes.  So each orbit's representative
-    (its least mask over `feasible_pairs`) stands for the whole orbit, with
-    its sign times the orbit size.  Forests sharing a canonical key add their
-    coefficients; keys whose coefficients cancel drop out.  Labels and arcs
-    are index tuples, so the result holds for every situation with the same
-    pattern.  At MAX_COMPONENTS = 4 the sweep visits at most 2^12 masks, and
-    four components of one class build 217 forests instead of 4,095.
-    """
-    feasible = frozenset(feasible_pairs)
-    bit = {pair: b for b, pair in enumerate(feasible_pairs)}
-    codes = s.codes
-    # images[p][b]: the mask bit of pair b's image under permutation p
-    images = [
-        [1 << bit[(perm[i], perm[j])] for i, j in feasible_pairs]
-        for perm in permutations(range(s.size))
-        if all(codes[perm[i]] == code for i, code in enumerate(codes))
-    ]
-    seen = bytearray(1 << len(feasible_pairs))
-    net: dict = {}
-    for mask in range(1, len(seen)):
-        if seen[mask]:
-            continue
-        members = [b for b in range(len(feasible_pairs)) if mask >> b & 1]
-        orbit = {sum(image[b] for b in members) for image in images}
-        for other in orbit:
-            seen[other] = 1
-        forest = build_containment_forest([feasible_pairs[b] for b in members], s, feasible)
-        if forest is not None:
-            key = forest.canonical_key()
-            sign = 1 if len(members) % 2 == 1 else -1
-            net[key] = net.get(key, 0) + sign * len(orbit)
-    return tuple((coef, labs, arcs) for (labs, arcs), coef in net.items() if coef)
-
-
 def occurrences_by_inclusion_exclusion(
     t: WeightedTree, s: Situation, tbl: ContainmentTable | None = None
 ) -> int:
     """Occurrence count through the table route; equals the enumeration oracle.
 
-    Subtracts, by inclusion-exclusion over nonempty sets of ordered index
-    pairs, the tuples where some component sits inside another; each
-    intersection is evaluated by the forest pipeline and the assignment
-    recursion.
-
-    The forests, and so the signed sum, depend only on the situation's
-    pattern key (`_pattern_key`): feasibility of each pair is read from the
-    table, W1 only compares vertex counts, and W2 and validation only ask
-    which components share a class.  The sum is compiled once per key into
-    forests with net coefficients over component indices; a call binds their
-    classes to s.codes and counts assignments in the table, so with a table
-    given no containment is recomputed from the trees.
+    The product over the components c_k, heaviest first, of
+    N(c_k) - sum_{i<k} M(c_k, c_i): N(c) counts the sides of class c in t,
+    M(c, h) those of class c inside class h, h itself included.  A situation
+    weighs at most ceil(w(T)/2), so its sides nest or are disjoint; a side
+    that meets a chosen side of at least its weight lies inside it; and the
+    chosen sides are disjoint.  So each factor counts the sides left for c_k
+    whichever came before, and the product equals the inclusion-exclusion
+    over forced containments that `build_containment_forest` and
+    `count_forest_assignments` evaluate.  Past a zero factor the later ones
+    can go negative; a negative one before it means an inconsistent table.
     """
     if not _weight_bound_ok(s.total_weight, t.total_weight):
         raise TreeInputError("situation weight exceeds half of the tree weight")
-    if s.size > MAX_COMPONENTS:
-        raise ResourceBoundError(
-            f"situations with more than {MAX_COMPONENTS} components are not supported"
-        )
     if tbl is None:
         tbl = build_containment_table(t, s.components)
     else:
         tbl.check_tree(t)
-    memo = tbl.occurrences
-    if s.codes in memo:
-        return memo[s.codes]
-
-    lambda0 = 1
-    for code in s.codes:
-        lambda0 *= tbl.count(code, WHOLE_TREE)
-    if lambda0 == 0:
-        memo[s.codes] = 0
-        return 0
-
-    codes = s.codes
-    feasible_pairs = _feasible_pairs(tbl, codes)
-    key = _pattern_key(s, feasible_pairs)
-    terms = _COMPILED_TERMS.get(key)
-    if terms is None:
-        terms = _COMPILED_TERMS[key] = _compile_terms(s, feasible_pairs)
-
-    correction = 0
-    for coef, labs, arcs in terms:
-        classes = [codes[lab[0]] for lab in labs]
-        correction += coef * _count_assignments(WHOLE_TREE, classes, arcs, tbl)
-    result = lambda0 - correction
-    if result < 0 or result > lambda0:
-        raise InternalInconsistencyError(
-            f"inclusion-exclusion left the valid range: {result} of {lambda0}"
-        )
-    memo[s.codes] = result
+    result = 1
+    chosen: list[CanonicalCode] = []
+    for code in reversed(s.codes):
+        left = tbl.count(code, WHOLE_TREE) - sum(tbl.count(code, h) for h in chosen)
+        if left == 0:
+            return 0
+        if left < 0:
+            raise InternalInconsistencyError(
+                f"{left} sides of a component left after {len(chosen)} disjoint ones"
+            )
+        result *= left
+        chosen.append(code)
     return result

@@ -9,7 +9,13 @@ from typing import Iterator
 from hypothesis import strategies as st
 
 from utrees.partitions import ExpressionCounts, _subset_components, _u_table_dp
-from utrees.situations import build_containment_forest
+from utrees.situations import (
+    WHOLE_TREE,
+    ContainmentForest,
+    _feasible_pairs,
+    build_containment_forest,
+    count_forest_assignments,
+)
 from utrees.trees import Edge, RootedWeightedTree, WeightedTree
 
 
@@ -191,6 +197,21 @@ def sorted_pairs_text(u: ExpressionCounts) -> str:
     return "\n".join(lines) + "\n"
 
 
+def pattern_key(s, feasible_pairs) -> tuple:
+    """Everything of s that the forest pipeline reads, as small ints.
+
+    The component count, the feasible ordered pairs, each component's rank
+    among the distinct vertex counts (W1 only compares them), and for each
+    component the first index with the same class (W2 and validation only
+    test classes for equality).  Situations with one key have one compile.
+    """
+    # a rooted code holds two ints per vertex
+    sizes = sorted({len(c.code) for c in s.codes})
+    ranks = tuple(sizes.index(len(c.code)) for c in s.codes)
+    first_equal = tuple(s.codes.index(code) for code in s.codes)
+    return s.size, feasible_pairs, ranks, first_equal
+
+
 def compile_terms_all_pair_sets(s, feasible_pairs) -> tuple[tuple[int, tuple, tuple], ...]:
     """The inclusion-exclusion compile with one forest per nonempty subset of
     `feasible_pairs` (as read by `_feasible_pairs` from one table), no
@@ -205,3 +226,28 @@ def compile_terms_all_pair_sets(s, feasible_pairs) -> tuple[tuple[int, tuple, tu
                 key = forest.canonical_key()
                 net[key] = net.get(key, 0) + sign
     return tuple((coef, labs, arcs) for (labs, arcs), coef in net.items() if coef)
+
+
+# pattern key -> compile_terms_all_pair_sets; four components of one class
+# build 4,095 forests, so each key is compiled once per test session
+_ALL_PAIR_SETS_TERMS: dict = {}
+
+
+def occurrences_by_all_pair_sets(s, tbl) -> int:
+    """Ordered occurrences of s by inclusion-exclusion over every nonempty
+    set of feasible ordered pairs: the product of the components' counts in
+    the tree, less the signed count of tuples with each forced containment,
+    each term evaluated by the forest pipeline and `count_forest_assignments`."""
+    feasible = _feasible_pairs(tbl, s.codes)
+    key = pattern_key(s, feasible)
+    if key not in _ALL_PAIR_SETS_TERMS:
+        _ALL_PAIR_SETS_TERMS[key] = compile_terms_all_pair_sets(s, feasible)
+    total = 1
+    for code in s.codes:
+        total *= tbl.count(code, WHOLE_TREE)
+    for coef, labs, arcs in _ALL_PAIR_SETS_TERMS[key]:
+        forest = ContainmentForest(
+            tuple(map(frozenset, labs)), tuple(s.codes[lab[0]] for lab in labs), frozenset(arcs)
+        )
+        total -= coef * count_forest_assignments(WHOLE_TREE, forest, tbl)
+    return total

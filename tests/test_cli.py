@@ -1,4 +1,6 @@
 import json
+import time
+from decimal import Decimal
 
 from utrees import cli, partitions, trees
 from utrees.cli import main
@@ -167,6 +169,22 @@ def test_eval_dp_state_cap_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == f"{2 * 2**30}\n"
 
 
+def test_eval_value_bits_cap(tmp_path, capsys):
+    # w(T) = 2^18: k = 1 builds no power of q, k = 2 is refused before any
+    f = write_doc(tmp_path, "s18.json", star(1, *(2**i for i in range(18))))
+    for k, code, out in (("1", 0, "0\n"), ("2", 3, "")):
+        start = time.perf_counter()
+        assert main(["eval", "M", f, "--k", k]) == code
+        assert time.perf_counter() - start < 5
+        captured = capsys.readouterr()
+        assert captured.out == out
+    assert "estimated 262144 bits; cap is VALUE_BITS_CAP=32768" in captured.err
+    # the two proper 2-colourings of an edge give 2^20000 + 2, 6,021 digits
+    f = write_doc(tmp_path, "p2.json", path(20000, 1))
+    assert main(["eval", "M", f, "--k", "2"]) == 0
+    assert capsys.readouterr().out == f"{Decimal(2**20000 + 2)}\n"
+
+
 def test_census_cli(capsys):
     assert main(["census", "--max-n", "5", "--mode", "stanley"]) == 0
     out = capsys.readouterr().out
@@ -201,8 +219,9 @@ def test_exit_codes(tmp_path, capsys):
     f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
     assert main(["count", f, "--j", "3", "--expr", "9"]) == 2
     big = write_doc(tmp_path, "p12.json", path(*([1] * 12)))
-    assert main(["m-count", big, "--situation", "1,1,1,1,1"]) == 3
     capsys.readouterr()
+    assert main(["m-count", big, "--situation", "1,1,1,1,1"]) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_deep_situation_spec_is_an_input_error(tmp_path, capsys):

@@ -12,7 +12,7 @@ from utrees.embedding import (
 )
 from utrees.errors import MalformedEmbeddingError, TreeInputError
 from utrees.generate import random_encodable_tree, random_relabeling
-from utrees.trees import WeightedTree, hanging_subtrees, isomorphic
+from utrees.trees import WeightedTree, hanging_subtrees, isomorphic, render_code
 
 from helpers import path, star
 
@@ -167,3 +167,9 @@ def test_check_good_shape_property_violation():
     )  # has a star shape with weights {1,1,1}
     report = check_good([a, b])
     assert report.shape_violation is not None
+    # the witness is the bucket's first restricted shape and the first shape
+    # with another code; b alone holds both shapes
+    for trees, want in (([a, b], (0, 1, "1(1(1))", "1(1,1)")), ([b, a], (0, 0, "1(1,1)", "1(1(1))"))):
+        v = check_good(trees).shape_violation
+        assert v.weights == (1, 1, 1)
+        assert (v.tree_a, v.tree_b, render_code(v.code_a), render_code(v.code_b)) == want

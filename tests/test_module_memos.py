@@ -1,15 +1,14 @@
 """utrees keeps no memo at module level: no lru_cache or cache decorator, and
 no module-level dict, list or set that code mutates.  Work shared between
 calls lives on per-tree objects (SideIndex, ContainmentTable), so it is
-freed with them.  The one exception is _COMPILED_TERMS, bounded by the
-number of containment patterns."""
+freed with them."""
 
 import ast
 from pathlib import Path
 
 import utrees
 
-ALLOWED = {"_COMPILED_TERMS"}
+ALLOWED: set[str] = set()
 MUTATORS = {
     "append", "add", "clear", "discard", "extend", "insert", "pop", "popitem",
     "remove", "setdefault", "update", "__setitem__", "__delitem__",

@@ -305,6 +305,27 @@ def test_evaluators_match_table_route(t, x, k, q, r, rng):
         assert potts_dichromate(u, x, k, q, r, "subsets") == br
 
 
+def test_value_bits_cap():
+    # w(T) = 2^16: at k = y = 1 every part contributes 1 and no power of q is
+    # built; from k = 2 on a part's value would reach 2^16 bits
+    t = star(1, *(2**i for i in range(16)))
+    assert q_chromatic(t, 1, 2) == 0
+    assert q_dichromate(t, 1, 1, 2) == 2**16
+    refused = (
+        lambda: q_chromatic(t, 2, 2),
+        lambda: q_chromatic(t, 2, 2, "colourings"),
+        lambda: q_dichromate(t, 0, 2, 2),
+        lambda: potts_dichromate(t, 0, 1, 2, 2),
+        lambda: potts_dichromate(t, 0, 1, 2, 2, "colourings"),
+    )
+    for call in refused:
+        with pytest.raises(ResourceBoundError, match="estimated 65536 bits; cap is VALUE_BITS_CAP=32768"):
+            call()
+    # q**(k-1) alone passes the cap, and is not built, for a huge k
+    with pytest.raises(ResourceBoundError, match="VALUE_BITS_CAP"):
+        potts_dichromate(path(1, 1), 0, 10**9, 2, 2)
+
+
 def test_dp_state_cap(monkeypatch):
     monkeypatch.setattr(partitions, "DP_STATE_CAP", 1000)
     with pytest.raises(ResourceBoundError, match="cap is 1000"):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from utrees import situations
 from utrees.errors import (
+    InternalInconsistencyError,
     MissingTableEntryError,
-    ResourceBoundError,
     TreeInputError,
 )
 from utrees.generate import free_trees, random_relabeling, random_weighted_tree
@@ -16,9 +16,7 @@ from utrees.situations import (
     WHOLE_TREE,
     ContainmentForest,
     Situation,
-    _count_assignments,
     _feasible_pairs,
-    _pattern_key,
     build_containment_forest,
     build_containment_table,
     count_forest_assignments,
@@ -27,20 +25,14 @@ from utrees.situations import (
     occurrences_by_enumeration,
     occurrences_by_inclusion_exclusion,
 )
-from utrees.trees import (
-    CanonicalCode,
-    RootedWeightedTree,
-    WeightedTree,
-    hanging_subtrees,
-    rooted_code,
-)
+from utrees.trees import WeightedTree, hanging_subtrees, rooted_code
 
 from helpers import (
     brute_hang_count,
     brute_rooted_isomorphic,
     brute_sides,
-    compile_terms_all_pair_sets,
     cut_side,
+    occurrences_by_all_pair_sets,
     path,
     rooted,
     spider,
@@ -187,11 +179,32 @@ def test_unrealizable_component_gives_zero():
     assert occurrences_by_inclusion_exclusion(five, s) == 0
 
 
-def test_component_cap():
-    t = path(*([1] * 12))
-    s = Situation.of([vertex()] * 5)
-    with pytest.raises(ResourceBoundError):
-        occurrences_by_inclusion_exclusion(t, s)
+def test_situations_of_five_or_more_components():
+    # k single vertices on a star with m unit leaves: m!/(m-k)! ordered choices
+    five = Situation.of([vertex()] * 5)
+    big = star(1, *[1] * 11)
+    assert occurrences_by_inclusion_exclusion(big, five) == 11 * 10 * 9 * 8 * 7
+    assert occurrences_by_enumeration(big, five) == 55_440
+    heavy = star(6, *[1] * 6)
+    for k in (5, 6):
+        s = Situation.of([vertex()] * k)
+        want = occurrences_by_enumeration(heavy, s)
+        assert occurrences_by_inclusion_exclusion(heavy, s) == want == 720
+    # leaves nest in the 2-paths at the ends of the legs
+    sp = spider(5, 3)
+    mixed = Situation.of([vertex()] * 3 + [p2()] * 2)
+    want = occurrences_by_enumeration(sp, mixed)
+    assert occurrences_by_inclusion_exclusion(sp, mixed) == want == 120
+    # the unit 12-path has two leaves: factors 2, 1, 0, and the fourth would be -1
+    assert occurrences_by_inclusion_exclusion(path(*[1] * 12), five) == 0
+
+
+def test_negative_factor_is_an_inconsistency():
+    t = spider(3, 3)
+    tbl = build_containment_table(t, [vertex(), p2()])
+    tbl.class_counts[(rooted_code(vertex()), rooted_code(p2()))] = 4
+    with pytest.raises(InternalInconsistencyError):
+        occurrences_by_inclusion_exclusion(t, Situation.of([vertex(), p2()]), tbl)
 
 
 def test_pipeline_matches_oracle_four_components():
@@ -212,32 +225,24 @@ def test_pipeline_matches_oracle_four_components():
     ) == occurrences_by_enumeration(host, mixed)
 
 
+def _every_situation(t: WeightedTree):
+    for target in range(2, (t.total_weight + 1) // 2 + 1):
+        yield from enumerate_situations(t, target)
+
+
 def test_pipeline_matches_oracle_exhaustive_small():
     for n in range(2, 7):
         for t in free_trees(n):
-            w = t.total_weight
-            for target in range(2, w // 2 + 1):
-                for s in enumerate_situations(t, target):
-                    if s.size > 3:
-                        continue
-                    assert occurrences_by_inclusion_exclusion(
-                        t, s
-                    ) == occurrences_by_enumeration(t, s)
+            for s in _every_situation(t):
+                assert occurrences_by_inclusion_exclusion(t, s) == occurrences_by_enumeration(t, s)
 
 
 def test_pipeline_matches_oracle_random_weighted():
     rng = random.Random(31)
     for _ in range(25):
-        n = rng.randint(3, 7)
-        t = random_weighted_tree(n, 3, rng)
-        w = t.total_weight
-        for target in range(2, w // 2 + 1):
-            for s in enumerate_situations(t, target):
-                if s.size > 3:
-                    continue
-                assert occurrences_by_inclusion_exclusion(
-                    t, s
-                ) == occurrences_by_enumeration(t, s)
+        t = random_weighted_tree(rng.randint(3, 7), 3, rng)
+        for s in _every_situation(t):
+            assert occurrences_by_inclusion_exclusion(t, s) == occurrences_by_enumeration(t, s)
 
 
 def _small_situations(t: WeightedTree):
@@ -248,44 +253,13 @@ def _small_situations(t: WeightedTree):
 
 
 @settings(max_examples=100, deadline=None)
-@given(weighted_trees(), st.randoms(use_true_random=False))
+@given(weighted_trees(max_n=7, max_weight=3), st.randoms(use_true_random=False))
 def test_compiled_route_matches_oracle(t, rng):
     t2 = random_relabeling(t, rng)
-    for s in _small_situations(t):
+    for s in _every_situation(t):
         want = occurrences_by_enumeration(t, s)
         assert occurrences_by_inclusion_exclusion(t, s) == want
         assert occurrences_by_inclusion_exclusion(t2, s) == want
-
-
-def test_same_pattern_adds_no_memo_entry():
-    # a vertex and a 2-path, in two different trees, then with weights:
-    # the same pattern each time
-    first = (path(1, 1, 1, 1, 1), Situation.of([vertex(), p2()]))
-    second = (path(1, 1, 1, 1, 1, 1, 1), Situation.of([vertex(), p2()]))
-    third = (path(2, 1, 2, 2, 1, 2), Situation.of([vertex(2), rooted(path(2, 1), 0)]))
-    assert occurrences_by_inclusion_exclusion(*first) == 2
-    entries = len(situations._COMPILED_TERMS)
-    for t, s in (second, third):
-        assert occurrences_by_inclusion_exclusion(t, s) == occurrences_by_enumeration(t, s)
-        assert len(situations._COMPILED_TERMS) == entries
-
-
-def test_memo_holds_only_small_ints():
-    for t in free_trees(6):
-        for s in _small_situations(t):
-            occurrences_by_inclusion_exclusion(t, s)
-    assert situations._COMPILED_TERMS
-
-    def walk(x):
-        assert not isinstance(x, (WeightedTree, RootedWeightedTree, CanonicalCode))
-        assert isinstance(x, (int, tuple)), type(x)
-        if isinstance(x, tuple):
-            for item in x:
-                walk(item)
-
-    for key, terms in situations._COMPILED_TERMS.items():
-        walk(key)
-        walk(terms)
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,8 +286,6 @@ def test_table_route_makes_no_hang_count_call(monkeypatch):
 
     monkeypatch.setattr("utrees.trees.hang_count", forbidden)
     monkeypatch.setattr(situations, "code_to_rooted_tree", forbidden)
-    monkeypatch.setattr(tbl, "occurrences", {})
-    monkeypatch.setattr(situations, "_COMPILED_TERMS", {})
     assert occurrences_by_inclusion_exclusion(sp, s, tbl) == occurrences_by_enumeration(sp, s)
 
 
@@ -368,61 +340,16 @@ def test_each_pair_set_forest_matches_brute_count():
     assert checked > 6000 and nonzero > 3000
 
 
-def _terms_value(terms, s: Situation, tbl) -> int:
-    return sum(
-        coef * _count_assignments(WHOLE_TREE, [s.codes[lab[0]] for lab in labs], arcs, tbl)
-        for coef, labs, arcs in terms
-    )
-
-
-# pattern key -> the oracle's terms; the all-pair-sets compile of four
-# components of one class builds 4,095 forests, so each key is compiled once
-_ORACLE_TERMS: dict = {}
-
-
-def _check_orbit_compile(t: WeightedTree) -> int:
-    """Compare the orbit compile with the all-pair-sets oracle on every
-    situation of t with at most four components; returns how many."""
-    tbl = build_containment_table(t, hanging_classes(t))
-    checked = 0
-    for target in range(2, (t.total_weight + 1) // 2 + 1):
-        for s in enumerate_situations(t, target):
-            if s.size > situations.MAX_COMPONENTS:
-                continue
-            feasible = _feasible_pairs(tbl, s.codes)
-            key = _pattern_key(s, feasible)
-            if key not in _ORACLE_TERMS:
-                _ORACLE_TERMS[key] = compile_terms_all_pair_sets(s, feasible)
-            got = _terms_value(situations._compile_terms(s, feasible), s, tbl)
-            assert got == _terms_value(_ORACLE_TERMS[key], s, tbl), (t, s)
-            checked += 1
-    return checked
-
-
-def test_orbit_compile_matches_all_pair_sets_on_criterion_6_corpus():
+def test_all_pair_sets_sum_equals_product_on_criterion_6_corpus():
     rng = random.Random(105)
     trees = [t for n in range(2, 8) for t in free_trees(n)]
     trees += [random_weighted_tree(rng.randint(2, 7), 3, rng) for _ in range(100)]
-    assert sum(_check_orbit_compile(t) for t in trees) > 1000
-
-
-@settings(max_examples=60, deadline=None)
-@given(weighted_trees(max_n=7, max_weight=3), st.randoms(use_true_random=False))
-def test_orbit_compile_matches_all_pair_sets(t, rng):
-    _check_orbit_compile(t)
-    _check_orbit_compile(random_relabeling(t, rng))
-
-
-def test_four_equal_components_build_one_forest_per_orbit(monkeypatch):
-    # four single vertices on the 8-vertex unit star: 7*6*5*4 ordered leaf
-    # choices; the 217 orbits are the nonempty digraphs on four unlabelled
-    # nodes, where every pair set would take 4,095 builds
-    calls = []
-    real = situations.build_containment_forest
-    monkeypatch.setattr(
-        situations, "build_containment_forest", lambda *a: calls.append(a) or real(*a)
-    )
-    monkeypatch.setattr(situations, "_COMPILED_TERMS", {})
-    s = Situation.of([vertex()] * 4)
-    assert occurrences_by_inclusion_exclusion(star(1, *[1] * 7), s) == 840
-    assert len(calls) == 217
+    checked = 0
+    for t in trees:
+        tbl = build_containment_table(t, hanging_classes(t))
+        for s in _every_situation(t):
+            if s.size <= 4:
+                got = occurrences_by_inclusion_exclusion(t, s, tbl)
+                assert got == occurrences_by_all_pair_sets(s, tbl), (t, s)
+                checked += 1
+    assert checked > 1000
