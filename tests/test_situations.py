@@ -340,16 +340,30 @@ def test_each_pair_set_forest_matches_brute_count():
     assert checked > 6000 and nonzero > 3000
 
 
-def test_all_pair_sets_sum_equals_product_on_criterion_6_corpus():
+def _check_all_pair_sets(t: WeightedTree) -> int:
+    """Compare the heaviest-first product with the all-pair-sets sum on every
+    situation of t with at most four components; returns how many."""
+    tbl = build_containment_table(t, hanging_classes(t))
+    checked = 0
+    for s in _every_situation(t):
+        if s.size <= 4:
+            got = occurrences_by_inclusion_exclusion(t, s, tbl)
+            assert got == occurrences_by_all_pair_sets(s, tbl), (t, s)
+            checked += 1
+    return checked
+
+
+# The two tests below keep the names they had when the compiled route summed
+# over orbits of pair sets; the route they check is now the product.
+def test_orbit_compile_matches_all_pair_sets_on_criterion_6_corpus():
     rng = random.Random(105)
     trees = [t for n in range(2, 8) for t in free_trees(n)]
     trees += [random_weighted_tree(rng.randint(2, 7), 3, rng) for _ in range(100)]
-    checked = 0
-    for t in trees:
-        tbl = build_containment_table(t, hanging_classes(t))
-        for s in _every_situation(t):
-            if s.size <= 4:
-                got = occurrences_by_inclusion_exclusion(t, s, tbl)
-                assert got == occurrences_by_all_pair_sets(s, tbl), (t, s)
-                checked += 1
-    assert checked > 1000
+    assert sum(_check_all_pair_sets(t) for t in trees) > 1000
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_trees(max_n=7, max_weight=3), st.randoms(use_true_random=False))
+def test_orbit_compile_matches_all_pair_sets(t, rng):
+    _check_all_pair_sets(t)
+    _check_all_pair_sets(random_relabeling(t, rng))
