@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 from .embedding import check_good, good_encode
 from .errors import ResourceBoundError, TreeInputError
-from .generate import free_trees, random_encodable_tree
+from .generate import MAX_ENUM_N, free_trees, random_encodable_tree
 from .io import TreeDocument
 from .partitions import u_polynomial
 from .trees import WeightedTree, free_code
 
-STANLEY_MAX_N = 10
 GOODSET_MAX_SOURCE_N = 7
 DEFAULT_GOODSET_SAMPLES = 50
 
@@ -108,8 +107,9 @@ def run_census(
     if mode == "stanley":
         if n_max < 1:
             raise TreeInputError(f"stanley census needs n_max >= 1, got {n_max}")
-        if n_max > STANLEY_MAX_N:
-            raise ResourceBoundError(f"stanley census supports n_max <= {STANLEY_MAX_N}")
+        if n_max > MAX_ENUM_N:
+            raise ResourceBoundError(
+                f"stanley census enumerates up to MAX_ENUM_N={MAX_ENUM_N} vertices; got n_max={n_max}")
         for n in range(1, n_max + 1):
             for t in free_trees(n):
                 entries.append((fingerprint(t), t))

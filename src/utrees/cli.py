@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal
 
 from .census import run_census
 from .embedding import check_good, good_decode, good_encode
@@ -22,7 +21,7 @@ from .errors import (
     ResourceBoundError,
     TreeInputError,
 )
-from .io import TreeDocument, load_documents, parse_situation_spec
+from .io import MAX_DIGITS, TreeDocument, load_documents, parse_situation_spec
 from .partitions import (
     Expression,
     count_shaped_partitions,
@@ -32,12 +31,7 @@ from .partitions import (
     u_polynomial,
 )
 from .shapecount import _table_for, nonshaped_count, shaped_count
-from .situations import (
-    WHOLE_TREE,
-    Situation,
-    enumerate_situations,
-    occurrences_by_inclusion_exclusion,
-)
+from .situations import Situation, enumerate_situations, occurrences_by_inclusion_exclusion
 from .trees import SideIndex, alpha_vector, free_code, render_code, rooted_code
 
 
@@ -128,12 +122,11 @@ def cmd_count(args) -> int:
     except ValueError:
         raise TreeInputError(f"bad expression {args.expr!r}") from None
     j = args.j
-    # one table serves all three counts; shaped_count validates the query
+    # one table serves both counts; shaped_count validates the query
     tbl = _table_for(t, j, None)
     shaped = shaped_count(t, j, e, tbl)
     x = nonshaped_count(t, j, e, tbl)
-    designated = tbl.u_table(WHOLE_TREE).get(e, 0) * e.parts.count(t.total_weight - j)
-    print(f"partitions={designated}")
+    print(f"partitions={shaped + x}")
     print(f"non-shaped={x}")
     print(f"shaped={shaped}")
     if args.oracle:
@@ -174,8 +167,7 @@ def cmd_eval(args) -> int:
         value = q_dichromate(t, args.x, args.y, args.q)
     else:
         value = potts_dichromate(t, args.x, args.k, args.q, args.r, args.mode)
-    # Decimal prints an exact int of any size; str() refuses past 4,300 digits
-    print(Decimal(value))
+    print(value)
     return 0
 
 
@@ -276,6 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # integers of up to MAX_DIGITS digits are read and printed; the caller's limit comes back
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         return args.func(args)
     except (TreeInputError, MalformedEmbeddingError, MissingTableEntryError,
@@ -289,6 +284,9 @@ def main(argv=None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            print(f"resource bound: an integer passes MAX_DIGITS={MAX_DIGITS} digits", file=sys.stderr)
+            return 3  # str() past the limit set above, which names no length
         # exit 1 means a semantic negative, so a crash must not reach it;
         # traceback is imported only here to keep every run's start-up lean
         import traceback
@@ -296,6 +294,8 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -3,18 +3,50 @@
 A document carries n, an edge list, per-vertex weights, and an optional
 root.  Weights are serialized as decimal strings because encoder outputs
 routinely exceed any fixed width.  Files hold either a single JSON object or
-newline-delimited objects.
+newline-delimited objects.  Integer fields are strict: a JSON int or a
+decimal string, nothing else.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .embedding import GoodEmbedding
-from .errors import TreeInputError
+from .errors import ResourceBoundError, TreeInputError
 from .trees import RootedWeightedTree, WeightedTree
+
+# decimal digits of the longest integer a document field may hold; the CLI
+# raises the interpreter's limit (4,300 by default) to this for each call
+MAX_DIGITS = 300_000
+
+
+def _int_field(value, what: str) -> int:
+    """A JSON int (not a bool) or a decimal string of ASCII digits.
+    Anything else is refused, never truncated."""
+    if type(value) is int:
+        return value
+    if type(value) is str and value.isascii() and value.isdigit():
+        if len(value) > MAX_DIGITS:
+            raise ResourceBoundError(f"{what} has {len(value)} digits; cap is MAX_DIGITS={MAX_DIGITS}")
+        return int(value)
+    raise TreeInputError(f"{what} must be an integer or a decimal string, got {value!r:.40}")
+
+
+def _ints(values, what: str) -> tuple[int, ...]:
+    """A JSON list of integer fields; all ints or all decimal strings are read in bulk."""
+    if type(values) is not list:
+        raise TreeInputError(f"{what} must be a JSON list, got {values!r:.40}")
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return tuple(values)
+    if kinds == {str} and all(values) and max(map(len, values)) <= MAX_DIGITS:
+        text = "".join(values)
+        if text.isascii() and text.isdigit():
+            return tuple(map(int, values))
+    return tuple(_int_field(v, f"an entry of {what}") for v in values)
 
 
 @dataclass(frozen=True)
@@ -29,13 +61,18 @@ class TreeDocument:
         if not isinstance(obj, dict):
             raise TreeInputError("tree document must be a JSON object")
         try:
-            n = int(obj["n"])
-            edges = tuple((int(u), int(v)) for u, v in obj["edges"])
-            weights = tuple(int(w) for w in obj["weights"])
+            n = _int_field(obj["n"], "n")
+            edges = obj["edges"]
+            if type(edges) is not list or not set(map(type, edges)) <= {list} or not set(map(len, edges)) <= {2}:
+                raise TreeInputError(f"edges must be a JSON list of [u, v] lists, got {edges!r:.40}")
+            ends = _ints(list(chain.from_iterable(edges)), "edge ends")
+            edges = tuple(zip(ends[0::2], ends[1::2]))
+            weights = _ints(obj["weights"], "weights")
+            root = obj.get("root")
+            root = None if root is None else _int_field(root, "root")
         except (KeyError, TypeError, ValueError) as exc:
             raise TreeInputError(f"bad tree document: {exc}") from None
-        root = obj.get("root")
-        return cls(n, edges, weights, None if root is None else int(root))
+        return cls(n, edges, weights, root)
 
     def to_obj(self) -> dict:
         obj = {
@@ -72,33 +109,35 @@ class TreeDocument:
         return cls(t.n, t.edges, t.weights, root)
 
 
+def _document(text: str) -> TreeDocument:
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise TreeInputError(f"bad JSON: {exc}") from None
+    except ValueError as exc:
+        # the decoder's one other refusal: an int literal past the digit limit;
+        # the text before ";" names the limit and the length
+        raise ResourceBoundError(f"JSON integer literal: {str(exc).split(';')[0]}") from None
+    return TreeDocument.from_obj(obj)
+
+
 def parse_documents(text: str) -> list[TreeDocument]:
     """One JSON object, or one per non-empty line."""
     body = text.strip()
     if not body:
         raise TreeInputError("empty tree document")
     if body.startswith("{") and body.count("\n{") == 0:
-        try:
-            return [TreeDocument.from_obj(json.loads(body))]
-        except json.JSONDecodeError as exc:
-            raise TreeInputError(f"bad JSON: {exc}") from None
-    docs = []
-    for line in body.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            docs.append(TreeDocument.from_obj(json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise TreeInputError(f"bad JSON line: {exc}") from None
-    return docs
+        return [_document(body)]
+    return [_document(line) for line in body.splitlines() if line.strip()]
 
 
 def load_documents(path: str | Path) -> list[TreeDocument]:
-    p = Path(path)
-    if not p.exists():
-        raise TreeInputError(f"no such file: {p}")
-    return parse_documents(p.read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        # a missing file, a directory, or bytes that are not UTF-8
+        raise TreeInputError(f"cannot read {path}: {exc}") from None
+    return parse_documents(text)
 
 
 def parse_rooted_spec(spec: str) -> RootedWeightedTree:
@@ -114,7 +153,7 @@ def parse_rooted_spec(spec: str) -> RootedWeightedTree:
     pos = 0
     while True:
         start = pos
-        while pos < len(spec) and spec[pos].isdigit():
+        while pos < len(spec) and "0" <= spec[pos] <= "9":
             pos += 1
         if start == pos:
             raise TreeInputError(f"expected a weight at position {start} in {spec!r}")

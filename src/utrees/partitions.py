@@ -268,7 +268,8 @@ def count_shaped_partitions(t: WeightedTree, j: int, e: Expression) -> int:
     if not e.is_j_expression(j, w):
         raise TreeInputError(f"{e.parts} is not a {j}-expression of {w}")
     if t.n > BRUTE_VERTEX_CAP:
-        raise ResourceBoundError("enumeration cap exceeded")
+        raise ResourceBoundError(f"direct enumeration walks 2^{t.n - 1} edge subsets; "
+                                 f"cap is BRUTE_VERTEX_CAP={BRUTE_VERTEX_CAP} vertices, got n={t.n}")
     target = w - j
     total = 0
     for mask in range(1 << (t.n - 1)):
@@ -343,7 +344,7 @@ def _check_value_bits(bits: int):
 
 def _check_colouring_enumerable(k: int, n: int):
     if k**n > COLOURING_ENUM_CAP:
-        raise ResourceBoundError(f"{k}^{n} colourings exceed the enumeration cap")
+        raise ResourceBoundError(f"{k}^{n} colourings exceed COLOURING_ENUM_CAP={COLOURING_ENUM_CAP}")
 
 
 def _evaluate(t: WeightedTree, x: int, f: Callable[[int], int]) -> int:

@@ -10,17 +10,11 @@ that, and must match direct enumeration exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 from typing import Mapping
 
-from .errors import (
-    InternalInconsistencyError,
-    ReconstructionError,
-    ResourceBoundError,
-    TreeInputError,
-)
-from .generate import multisets_of_weight
-from .partitions import Expression, sub_multisets
+from .errors import InternalInconsistencyError, ReconstructionError, TreeInputError
+from .partitions import Expression, is_refinement, sub_multisets
 from .situations import (
     WHOLE_TREE,
     ContainmentTable,
@@ -36,11 +30,6 @@ from .trees import (
     WeightedTree,
     code_to_rooted_tree,
 )
-
-# distinct refinements _proper_refinements may build: a side of one part of
-# 60 has 966,466
-MAX_REFINEMENTS = 10_000
-
 
 def _prepare(t: WeightedTree, j: int, e: Expression):
     w = t.total_weight
@@ -88,13 +77,7 @@ def _decomposition_sum(s: Situation, side: tuple[int, ...], tbl: ContainmentTabl
 
 
 def _symmetry_factor(s: Situation) -> int:
-    mult: dict[CanonicalCode, int] = {}
-    for code in s.codes:
-        mult[code] = mult.get(code, 0) + 1
-    out = 1
-    for m in mult.values():
-        out *= factorial(m)
-    return out
+    return prod(map(factorial, map(s.codes.count, set(s.codes))))
 
 
 def nonshaped_count(
@@ -146,47 +129,24 @@ class ExpressionAnalysis:
     resolved_shape: CanonicalCode | None
 
 
-def _proper_refinements(side: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All strictly finer multisets obtained by splitting the given parts.
-
-    Built one part at a time, keeping the distinct multisets of each step.
-    A step's multisets, with the parts still to come left whole, are distinct
-    refinements of the whole side, so when one step holds more than
-    MAX_REFINEMENTS the side has that many and ResourceBoundError is raised.
-    """
-    level = {()}
-    for p in side:
-        nxt = set()
-        for base in level:
-            # index i stands for a part of i + 1
-            for q in multisets_of_weight(range(1, p + 1), p):
-                nxt.add(tuple(sorted(base + tuple(i + 1 for i in q), reverse=True)))
-                if len(nxt) > MAX_REFINEMENTS:
-                    raise ResourceBoundError(
-                        f"refinements of {side} exceed MAX_REFINEMENTS={MAX_REFINEMENTS}: "
-                        f"reached {len(nxt)} multisets"
-                    )
-        level = nxt
-    level.discard(tuple(sorted(side, reverse=True)))
-    return sorted(level, reverse=True)
-
-
 def analyze_expression(
     t: WeightedTree, j: int, e: Expression, tbl: ContainmentTable | None = None
 ) -> ExpressionAnalysis:
-    """Validity, minimality, and shape resolution for a j-expression."""
+    """Validity, minimality, and shape resolution for a j-expression.
+
+    e is minimal when valid and no finer j-expression has a shaped
+    partition.  A shaped partition is a connected one, so every such finer
+    expression is a key of the tree's U-table, and only those keys are tried.
+    """
     side = _prepare(t, j, e)
     tbl = _table_for(t, j, tbl)
     w = t.total_weight
     valid = shaped_count(t, j, e, tbl) > 0
-    minimal = False
-    if valid:
-        minimal = True
-        for refined in _proper_refinements(side):
-            e_fine = Expression.of(refined + (w - j,))
-            if shaped_count(t, j, e_fine, tbl) > 0:
-                minimal = False
-                break
+    minimal = valid and not any(
+        f != e and f.is_j_expression(j, w) and is_refinement(f, e, j, w)
+        and shaped_count(t, j, f, tbl) > 0
+        for f in tbl.u_table(WHOLE_TREE)
+    )
     resolved = None
     if valid:
         idx = tbl.index
@@ -197,8 +157,7 @@ def analyze_expression(
             if idx.size[c] == len(want) and idx.weight[c] == sum(want)
             and tuple(sorted(idx.code(c).code[0::2])) == want
         ]
-        if matches:
-            resolved = min(matches)
+        resolved = min(matches, default=None)
     return ExpressionAnalysis(e, j, valid, minimal, resolved)
 
 

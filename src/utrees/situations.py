@@ -218,7 +218,7 @@ def _assert_nested_or_disjoint(a: frozenset[int], b: frozenset[int]):
         )
 
 
-def _complement_connected(t: WeightedTree, used: set[int]) -> bool:
+def _complement_connected(t: WeightedTree, used: frozenset[int]) -> bool:
     rest = [v for v in range(t.n) if v not in used]
     if not rest:
         return False
@@ -236,31 +236,30 @@ def _complement_connected(t: WeightedTree, used: set[int]) -> bool:
 def occurrences_by_enumeration(t: WeightedTree, s: Situation) -> int:
     """Oracle count of ordered occurrences, by direct enumeration.
 
-    Tuples of pairwise distinct, mutually disjoint hanging subtrees matching
-    the components, none containing another, with connected complement.  The
-    below-half dichotomy (nested or disjoint) is asserted on every candidate
-    pair while enumerating.
+    Tuples of mutually disjoint hanging subtrees matching the components
+    (so pairwise distinct, none containing another), with connected
+    complement.  Slots are filled one at a time, each only with sides
+    disjoint from those already chosen.  The below-half dichotomy (nested or
+    disjoint) is asserted up front on every pair of candidates for two
+    different slots.
     """
     if not _weight_bound_ok(s.total_weight, t.total_weight):
         raise TreeInputError("situation weight exceeds half of the tree weight")
     hangs = hanging_subtrees(t)
-    candidates = []
-    for code in s.codes:
-        candidates.append([h for h in hangs if rooted_code(h.component) == code])
+    candidates = [[h.vertices for h in hangs if rooted_code(h.component) == code] for code in s.codes]
+    for first, second in combinations(candidates, 2):
+        for a, b in product(first, second):
+            _assert_nested_or_disjoint(a, b)
     total = 0
-    for tup in product(*candidates):
-        ok = True
-        for a, b in combinations(tup, 2):
-            _assert_nested_or_disjoint(a.vertices, b.vertices)
-            if a.vertices & b.vertices:
-                ok = False
-        if not ok:
+    stack = [(0, frozenset())]
+    while stack:
+        slot, used = stack.pop()
+        if slot == len(candidates):
+            total += _complement_connected(t, used)
             continue
-        used = set()
-        for h in tup:
-            used |= h.vertices
-        if _complement_connected(t, used):
-            total += 1
+        for side in candidates[slot]:
+            if not side & used:
+                stack.append((slot + 1, used | side))
     return total
 
 

@@ -8,6 +8,7 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
+from utrees.generate import free_trees, random_weighted_tree
 from utrees.partitions import ExpressionCounts, _subset_components, _u_table_dp
 from utrees.situations import (
     WHOLE_TREE,
@@ -33,6 +34,15 @@ def star(center_weight: int, *leaf_weights: int) -> WeightedTree:
 
 def rooted(t: WeightedTree, root: int = 0) -> RootedWeightedTree:
     return RootedWeightedTree(t, root)
+
+
+def situation_corpus(rng) -> list[WeightedTree]:
+    """The free trees with 2..7 vertices and 100 weighted trees (n <= 7,
+    weights <= 3) drawn from rng: criteria 5 and 6 use seed 105."""
+    trees = [t for n in range(2, 8) for t in free_trees(n)]
+    for _ in range(100):
+        trees.append(random_weighted_tree(rng.randint(2, 7), 3, rng))
+    return trees
 
 
 def spider(legs: int, leg_length: int) -> WeightedTree:

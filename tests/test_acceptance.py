@@ -44,7 +44,7 @@ from utrees.situations import (
 )
 from utrees.trees import isomorphic, rooted_code
 
-from helpers import brute_sides, cut_side, path, rooted, spider, star
+from helpers import brute_sides, cut_side, path, rooted, situation_corpus, spider, star
 
 
 def _report(num: int, ok: bool, desc: str):
@@ -123,13 +123,6 @@ def test_criterion_04_goodness_of_encodings():
         _report(4, ok, "55 encoder outputs satisfy all three good-set properties")
 
 
-def _situation_corpus(rng):
-    trees = [t for n in range(2, 8) for t in free_trees(n)]
-    for _ in range(100):
-        trees.append(random_weighted_tree(rng.randint(2, 7), 3, rng))
-    return trees
-
-
 def test_criterion_05_occurrence_pipeline():
     ok = False
     try:
@@ -150,7 +143,7 @@ def test_criterion_05_occurrence_pipeline():
         assert occurrences_by_enumeration(sp, s) == 6
 
         rng = random.Random(105)
-        for t in _situation_corpus(rng):
+        for t in situation_corpus(rng):
             w = t.total_weight
             for target in range(2, w // 2 + 1):
                 for sit in enumerate_situations(t, target):
@@ -181,7 +174,7 @@ def test_criterion_06_shaped_counts():
 
         rng = random.Random(105)
         checked = capped = 0
-        for t in _situation_corpus(rng):
+        for t in situation_corpus(rng):
             w = t.total_weight
             tbl = build_containment_table(t, hanging_classes(t))
             for j in range(1, (w + 1) // 2 + 1):

@@ -54,8 +54,8 @@ def test_census_byte_stability():
 
 
 def test_census_bounds():
-    with pytest.raises(ResourceBoundError):
-        run_census(n_max=11, mode="stanley")
+    with pytest.raises(ResourceBoundError, match="MAX_ENUM_N=12 vertices; got n_max=13"):
+        run_census(n_max=13, mode="stanley")
     with pytest.raises(ResourceBoundError):
         run_census(n_max=9, mode="goodset")
     # a size below the supported range is an input error, not a resource bound
@@ -64,6 +64,13 @@ def test_census_bounds():
             run_census(n_max=n_max, mode="stanley")
     with pytest.raises(TreeInputError, match="n_max >= 3"):
         run_census(n_max=2, mode="goodset")
+
+
+def test_stanley_census_runs_to_the_generator_bound(capsys):
+    assert main(["census", "--mode", "stanley", "--max-n", "12"]) == 0
+    out = capsys.readouterr().out
+    assert "trees=987\nfingerprints=987\n" in out
+    assert out.endswith("separates\n")
 
 
 def test_stanley_census_computes_no_codes_when_fingerprints_differ(monkeypatch, capsys):

@@ -1,10 +1,12 @@
 import json
+import sys
 import time
 from decimal import Decimal
 
 from utrees import cli, partitions, trees
 from utrees.cli import main
-from utrees.io import TreeDocument
+from utrees.io import MAX_DIGITS, TreeDocument, parse_documents
+from utrees.trees import isomorphic
 
 from helpers import path, star
 
@@ -72,6 +74,32 @@ def test_encode_decode_roundtrip(tmp_path, capsys):
     assert main(["decode", str(enc_file)]) == 0
     decoded = json.loads(capsys.readouterr().out)
     assert sorted(int(w) for w in decoded["weights"]) == [1, 5, 6]
+
+
+def test_weights_past_the_interpreter_digit_limit(tmp_path, capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    # a 200-vertex unit path encodes to weights of about 5,990 digits
+    f = write_doc(tmp_path, "p200.json", path(*[1] * 200))
+    assert main(["encode", f]) == 0
+    enc = tmp_path / "enc.json"
+    enc.write_text(capsys.readouterr().out)
+    assert main(["decode", str(enc)]) == 0
+    decoded = parse_documents(capsys.readouterr().out)[0]
+    assert isomorphic(decoded.tree(), path(*[1] * 200))
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "weights": ["7" * 5000, "1"]}))
+    assert main(["canon", str(big)]) == 0
+    assert "7" * 5000 in capsys.readouterr().out
+    big.write_text(json.dumps({"n": 2, "edges": [[0, 1]], "weights": ["7" * (MAX_DIGITS + 1), "1"]}))
+    assert main(["canon", str(big)]) == 3
+    assert f"has {MAX_DIGITS + 1} digits; cap is MAX_DIGITS={MAX_DIGITS}" in capsys.readouterr().err
+    # an output past the bound: 2^20000 + 2 has 6,021 digits
+    monkeypatch.setattr(cli, "MAX_DIGITS", 5000)
+    f = write_doc(tmp_path, "p2.json", path(20000, 1))
+    assert main(["eval", "M", f, "--k", "2"]) == 3
+    assert "an integer passes MAX_DIGITS=5000 digits" in capsys.readouterr().err
+    # in-process callers keep their own limit
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_check_good(tmp_path, capsys):
@@ -197,7 +225,8 @@ def test_census_size_range_exit_codes(capsys):
         assert main(["census", *argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
-    assert main(["census", "--max-n", "11"]) == 3
+    assert main(["census", "--max-n", "13"]) == 3
+    assert "MAX_ENUM_N=12 vertices; got n_max=13" in capsys.readouterr().err
     assert main(["census", "--mode", "goodset", "--max-n", "8"]) == 3
     assert "resource bound" in capsys.readouterr().err
 

@@ -330,3 +330,15 @@ def test_dp_state_cap(monkeypatch):
     monkeypatch.setattr(partitions, "DP_STATE_CAP", 1000)
     with pytest.raises(ResourceBoundError, match="cap is 1000"):
         u_polynomial(path(*([1] * 60)))
+
+
+def test_enumeration_caps_name_the_cap_and_the_size():
+    with pytest.raises(
+        ResourceBoundError,
+        match=r"walks 2\^22 edge subsets; cap is BRUTE_VERTEX_CAP=22 vertices, got n=23",
+    ):
+        count_shaped_partitions(path(*[1] * 23), 11, E(12, 11))
+    with pytest.raises(ResourceBoundError, match=r"3\^13 colourings exceed COLOURING_ENUM_CAP=1048576"):
+        q_chromatic(path(*[1] * 13), 3, 2, "colourings")
+    with pytest.raises(ResourceBoundError, match=r"2\^21 colourings exceed COLOURING_ENUM_CAP=1048576"):
+        potts_dichromate(path(*[1] * 21), 0, 2, 2, 2, "colourings")

@@ -3,14 +3,17 @@ from itertools import product
 
 import pytest
 
-from utrees import shapecount
-from utrees.errors import ReconstructionError, ResourceBoundError, TreeInputError
+from utrees.errors import ReconstructionError, TreeInputError
 from utrees.generate import free_trees, random_weighted_tree
-from utrees.partitions import Expression, count_partitions, count_shaped_partitions
+from utrees.partitions import (
+    Expression,
+    count_partitions,
+    count_shaped_partitions,
+    is_refinement,
+    u_polynomial,
+)
 from utrees.shapecount import (
-    MAX_REFINEMENTS,
     ShapeCensus,
-    _proper_refinements,
     analyze_expression,
     nonshaped_count,
     reconstruct_from_census,
@@ -26,7 +29,7 @@ from utrees.situations import (
 )
 from utrees.trees import isomorphic, rooted_code
 
-from helpers import path, rooted, star
+from helpers import path, rooted, situation_corpus, star
 
 
 def E(*parts):
@@ -218,16 +221,17 @@ def test_foreign_table_is_refused():
     assert tbl.u_tables and tbl.situations
 
 
+def _partitions(n, cap):
+    """Descending tuples of positive ints at most cap, summing to n."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(min(n, cap), 0, -1) for rest in _partitions(n - k, k)]
+
+
 def _refinements_by_product(side):
     """Oracle: one partition per part, every combination, duplicates dropped."""
-
-    def partitions(n, cap):
-        if n == 0:
-            return [()]
-        return [(k,) + rest for k in range(min(n, cap), 0, -1) for rest in partitions(n - k, k)]
-
     original = tuple(sorted(side, reverse=True))
-    out = {tuple(sorted(sum(combo, ()), reverse=True)) for combo in product(*(partitions(p, p) for p in side))}
+    out = {tuple(sorted(sum(combo, ()), reverse=True)) for combo in product(*(_partitions(p, p) for p in side))}
     return out - {original}
 
 
@@ -235,23 +239,41 @@ def _refinements_by_product(side):
     "side", [(), (1,), (2,), (3, 2), (2, 1, 1), (4, 4), (5, 3, 1), (6, 2, 2, 1), (1,) * 8, (20,) + (1,) * 16]
 )
 def test_proper_refinements_match_product_oracle(side):
-    got = list(_proper_refinements(side))
-    assert len(got) == len(set(got))
-    assert set(got) == _refinements_by_product(side)
+    # is_refinement, the one refinement test, picks exactly the oracle's
+    # refinements out of the multisets of the same total with more parts (a
+    # proper refinement splits some part); the designated part weighs j + 1
+    j = sum(side)
+    coarse = E(*side, j + 1)
+    got = {
+        f for f in _partitions(j, j)
+        if len(f) > len(side) and is_refinement(E(*f, j + 1), coarse, j, 2 * j + 1)
+    }
+    assert got == _refinements_by_product(side)
 
 
-def test_proper_refinements_cap(monkeypatch):
-    with pytest.raises(ResourceBoundError, match=f"MAX_REFINEMENTS={MAX_REFINEMENTS}: reached"):
-        list(_proper_refinements((60,)))
-    monkeypatch.setattr(shapecount, "MAX_REFINEMENTS", 10)
-    assert len(list(_proper_refinements((4,)))) == 4  # five partitions, one is the side
-    with pytest.raises(ResourceBoundError, match="MAX_REFINEMENTS=10: reached 11 "):
-        list(_proper_refinements((6,)))
-    assert list(_proper_refinements((1,) * 60)) == []
-    # the cap counts distinct refinements, not combinations of part splits
-    assert len(_proper_refinements((2,) * 9)) == 9
-    with pytest.raises(ResourceBoundError, match="MAX_REFINEMENTS=10: reached 11 "):
-        _proper_refinements((2,) * 10)
+def test_minimality_matches_refinement_oracle():
+    # criterion 6's corpus: minimal means valid and no refinement of the
+    # j-side, built part by part, has a shaped partition
+    checked = 0
+    for t in situation_corpus(random.Random(105)):
+        w = t.total_weight
+        tbl = build_containment_table(t, hanging_classes(t))
+        for j in range(1, (w + 1) // 2 + 1):
+            for e in u_polynomial(t).counts:
+                if not e.is_j_expression(j, w):
+                    continue
+                a = analyze_expression(t, j, e, tbl)
+                finer = _refinements_by_product(e.j_side(j, w))
+                want = a.valid and not any(
+                    shaped_count(t, j, Expression.of(f + (w - j,)), tbl) > 0 for f in finer
+                )
+                assert a.minimal == want, (t, j, e)
+                checked += 1
+    assert checked > 900
+    # a side of one part of 60 has 966,465 proper refinements; none is a
+    # key of the three-vertex path's table, so none is tried
+    a = analyze_expression(path(60, 1, 60), 60, E(61, 60))
+    assert (a.valid, a.minimal, a.resolved_shape) == (True, True, None)
 
 
 def test_minimality_with_many_unit_parts():

@@ -185,6 +185,9 @@ def test_situations_of_five_or_more_components():
     big = star(1, *[1] * 11)
     assert occurrences_by_inclusion_exclusion(big, five) == 11 * 10 * 9 * 8 * 7
     assert occurrences_by_enumeration(big, five) == 55_440
+    # 1,771,561 tuples of leaves, of which the disjoint ones are filled in
+    six = Situation.of([vertex()] * 6)
+    assert occurrences_by_enumeration(big, six) == occurrences_by_inclusion_exclusion(big, six) == 332_640
     heavy = star(6, *[1] * 6)
     for k in (5, 6):
         s = Situation.of([vertex()] * k)
