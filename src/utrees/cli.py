@@ -21,7 +21,7 @@ from .errors import (
     ResourceBoundError,
     TreeInputError,
 )
-from .io import MAX_DIGITS, TreeDocument, load_documents, parse_situation_spec
+from .io import MAX_DIGITS, TreeDocument, _int_field, load_documents, parse_situation_spec
 from .partitions import (
     Expression,
     count_shaped_partitions,
@@ -30,7 +30,7 @@ from .partitions import (
     q_dichromate,
     u_polynomial,
 )
-from .shapecount import _table_for, nonshaped_count, shaped_count
+from .shapecount import _counts
 from .situations import Situation, enumerate_situations, occurrences_by_inclusion_exclusion
 from .trees import SideIndex, alpha_vector, free_code, render_code, rooted_code
 
@@ -117,15 +117,9 @@ def cmd_check_good(args) -> int:
 
 def cmd_count(args) -> int:
     t = _load_one(args.file).tree()
-    try:
-        e = Expression.of(int(p) for p in args.expr.split(","))
-    except ValueError:
-        raise TreeInputError(f"bad expression {args.expr!r}") from None
+    e = Expression.of(_int_field(p, "a part of --expr") for p in args.expr.split(","))
     j = args.j
-    # one table serves both counts; shaped_count validates the query
-    tbl = _table_for(t, j, None)
-    shaped = shaped_count(t, j, e, tbl)
-    x = nonshaped_count(t, j, e, tbl)
+    shaped, x = _counts(t, j, e, None)
     print(f"partitions={shaped + x}")
     print(f"non-shaped={x}")
     print(f"shaped={shaped}")

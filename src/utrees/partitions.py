@@ -303,8 +303,12 @@ def sub_multisets(items: tuple[int, ...], target: int):
 
 
 def _can_group(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
-    """Can the fine multiset be split into groups summing to the coarse parts?"""
-    if sum(fine) != sum(coarse):
+    """Can the fine multiset be split into groups summing to the coarse parts?
+
+    Fewer fine parts than coarse ones, or a fine part above every coarse one,
+    rules it out before any search."""
+    if (sum(fine) != sum(coarse) or len(fine) < len(coarse)
+            or max(fine, default=0) > max(coarse, default=0)):
         return False
     if not coarse:
         return True

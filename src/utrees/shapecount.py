@@ -1,20 +1,24 @@
 """Shaped/non-shaped partition counts, expression analysis, and the census.
 
 A j-partition designates one part of weight w(T)-j.  The non-shaped count
-comes from situations: each non-shaped designated part hangs its complement
-as a situation occurrence, and the remaining parts distribute over the
-occurrence's components.  The shaped count is the designated total minus
-that, and must match direct enumeration exactly.
+comes from situations: a non-shaped designated part hangs its complement as
+a situation occurrence.  Contract that part to one vertex of weight w(T)-j
+with the occurrence's components hung from it: when the j-side has two or
+more parts, the contracted vertex is a part on its own, so the contracted
+tree's U-table entry for the expression counts the ways the j-side splits
+over the components.  The shaped count is the designated total minus the
+non-shaped count, and must match direct enumeration exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial, prod
 from typing import Mapping
 
 from .errors import InternalInconsistencyError, ReconstructionError, TreeInputError
-from .partitions import Expression, is_refinement, sub_multisets
+from .partitions import Expression, is_refinement
 from .situations import (
     WHOLE_TREE,
     ContainmentTable,
@@ -28,6 +32,7 @@ from .trees import (
     RootedWeightedTree,
     SideIndex,
     WeightedTree,
+    _preorder_tree,
     code_to_rooted_tree,
 )
 
@@ -50,32 +55,6 @@ def _table_for(t: WeightedTree, j: int, tbl: ContainmentTable | None) -> Contain
     return _table(idx, _sorted_classes(idx, {c for _, _, c in idx.sides if idx.weight[c] < j}))
 
 
-def _remove_indices(items: tuple[int, ...], chosen: tuple[int, ...]) -> tuple[int, ...]:
-    picked = set(chosen)
-    return tuple(items[i] for i in range(len(items)) if i not in picked)
-
-
-def _decomposition_sum(s: Situation, side: tuple[int, ...], tbl: ContainmentTable) -> int:
-    """Sum over ordered splits of `side` across components of the partition
-    counts inside each component."""
-
-    weights = s.weights
-    tables = [tbl.u_table(code) for code in s.codes]
-
-    def rec(slot: int, remaining: tuple[int, ...]) -> int:
-        if slot == len(weights):
-            return 1 if not remaining else 0
-        total = 0
-        for chosen in sub_multisets(remaining, weights[slot]):
-            part = Expression.of(remaining[i] for i in chosen)
-            ways = tables[slot].get(part, 0)
-            if ways:
-                total += ways * rec(slot + 1, _remove_indices(remaining, chosen))
-        return total
-
-    return rec(0, side)
-
-
 def _symmetry_factor(s: Situation) -> int:
     return prod(map(factorial, map(s.codes.count, set(s.codes))))
 
@@ -84,17 +63,26 @@ def nonshaped_count(
     t: WeightedTree, j: int, e: Expression, tbl: ContainmentTable | None = None
 ) -> int:
     """Designated j-partitions of characteristic e whose marked part is not
-    a full edge side."""
+    a full edge side.
+
+    Each situation occurrence contributes the contracted tree's count of e:
+    a vertex of weight w(T)-j with the situation's components hung from it,
+    read through the table's U-table memo under its rooted code.  Every
+    component weighs less than j, so a one-part j-side cannot split over
+    them, and the count is 0.
+    """
     side = _prepare(t, j, e)
     tbl = _table_for(t, j, tbl)
+    if len(side) < 2:
+        return 0
     total = 0
     for s in tbl.situations_of(j):
-        d = _decomposition_sum(s, side, tbl)
-        if d == 0:
-            continue
         m = occurrences_by_inclusion_exclusion(t, s, tbl)
         if m == 0:
             continue
+        kids = (c.code for c in sorted(s.codes))
+        contracted = CanonicalCode(tuple(chain((t.total_weight - j, s.size), *kids)))
+        d = tbl.u_table(contracted).get(e, 0)
         sym = _symmetry_factor(s)
         if (m * d) % sym:
             raise InternalInconsistencyError(
@@ -104,20 +92,26 @@ def nonshaped_count(
     return total
 
 
+def _counts(t: WeightedTree, j: int, e: Expression, tbl: ContainmentTable | None) -> tuple[int, int]:
+    """The shaped and non-shaped counts, the latter evaluated once."""
+    _prepare(t, j, e)
+    tbl = _table_for(t, j, tbl)
+    x = nonshaped_count(t, j, e, tbl)
+    designations = e.parts.count(t.total_weight - j)
+    shaped = tbl.u_table(WHOLE_TREE).get(e, 0) * designations - x
+    if shaped < 0:
+        raise InternalInconsistencyError(
+            f"shaped count went negative for j={j}, e={e}"
+        )
+    return shaped, x
+
+
 def shaped_count(
     t: WeightedTree, j: int, e: Expression, tbl: ContainmentTable | None = None
 ) -> int:
     """Designated j-partitions with characteristic e whose marked part is a
     full edge side; equals direct enumeration."""
-    _prepare(t, j, e)
-    tbl = _table_for(t, j, tbl)
-    designations = e.parts.count(t.total_weight - j)
-    total = tbl.u_table(WHOLE_TREE).get(e, 0) * designations - nonshaped_count(t, j, e, tbl)
-    if total < 0:
-        raise InternalInconsistencyError(
-            f"shaped count went negative for j={j}, e={e}"
-        )
-    return total
+    return _counts(t, j, e, tbl)[0]
 
 
 @dataclass(frozen=True)
@@ -191,27 +185,6 @@ def _inside_shape_counts(branch: RootedWeightedTree) -> dict[CanonicalCode, int]
     }
 
 
-def _graft(center_weight: int, branches: list[RootedWeightedTree]) -> WeightedTree:
-    """New tree: a center vertex joined to the root of every branch."""
-    weights = [center_weight]
-    edges: list[tuple[int, int]] = []
-    for b in branches:
-        offset = len(weights)
-        weights.extend(b.tree.weights)
-        edges.extend((u + offset, v + offset) for u, v in b.tree.edges)
-        edges.append((0, b.root + offset))
-    return WeightedTree(len(weights), tuple(edges), tuple(weights))
-
-
-def _join_roots(a: RootedWeightedTree, b: RootedWeightedTree) -> WeightedTree:
-    weights = list(a.tree.weights) + list(b.tree.weights)
-    off = a.tree.n
-    edges = list(a.tree.edges)
-    edges.extend((u + off, v + off) for u, v in b.tree.edges)
-    edges.append((a.root, b.root + off))
-    return WeightedTree(len(weights), tuple(edges), tuple(weights))
-
-
 def reconstruct_from_census(census: ShapeCensus, hint_n: int) -> WeightedTree:
     """Rebuild the tree whose half-weight shape census is the given one.
 
@@ -228,9 +201,7 @@ def reconstruct_from_census(census: ShapeCensus, hint_n: int) -> WeightedTree:
         elif hint_n == 2 and w_total == 2:
             result = WeightedTree(2, ((0, 1),), (1, 1))
         elif hint_n >= 3 and w_total == hint_n:
-            result = _graft(1, [
-                RootedWeightedTree(WeightedTree(1, (), (1,)), 0)
-            ] * (hint_n - 1))
+            result = _preorder_tree((1, hint_n - 1) + (1, 0) * (hint_n - 1))
         else:
             raise ReconstructionError(
                 "empty census is only realizable by a unit star of matching size"
@@ -242,17 +213,15 @@ def reconstruct_from_census(census: ShapeCensus, hint_n: int) -> WeightedTree:
         at_max = [code for code in reps if weights[code] == m]
         a = sum(census.entries[c] for c in at_max)
         if a == 2 and 2 * m == w_total:
-            if len(at_max) == 1:
-                result = _join_roots(reps[at_max[0]], reps[at_max[0]])
-            else:
-                result = _join_roots(reps[at_max[0]], reps[at_max[1]])
+            # the first half's root takes the second half as its last child
+            first, second = at_max[0].code, at_max[-1].code
+            result = _preorder_tree((first[0], first[1] + 1) + first[2:] + second)
         else:
-            attached: list[RootedWeightedTree] = []
+            attached: list[CanonicalCode] = []
             expected: dict[CanonicalCode, int] = {}
 
             def attach(code: CanonicalCode, copies: int):
-                for _ in range(copies):
-                    attached.append(reps[code])
+                attached.extend([code] * copies)
                 for inner, cnt in _inside_shape_counts(reps[code]).items():
                     expected[inner] = expected.get(inner, 0) + cnt * copies
 
@@ -267,10 +236,11 @@ def reconstruct_from_census(census: ShapeCensus, hint_n: int) -> WeightedTree:
                         )
                     if deficit:
                         attach(code, deficit)
-            center = w_total - sum(b.weight for b in attached)
+            center = w_total - sum(weights[c] for c in attached)
             if center < 1:
                 raise ReconstructionError("attached branches exceed the total weight")
-            result = _graft(center, attached)
+            branches = (c.code for c in attached)
+            result = _preorder_tree(tuple(chain((center, len(attached)), *branches)))
 
     if result.n != hint_n:
         raise ReconstructionError(

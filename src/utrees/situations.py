@@ -14,7 +14,9 @@ over the resulting arborescence forest, stays public
 over every pair set as a second oracle.  Counting uses hanging subtrees of
 every size, with containment of a class in a host including the host
 itself; the spider example in the tests shows why the equality term is
-required for either route to close.
+required for either route to close.  A containment table also memoises the
+situations of each weight and U-tables: its tree's, and those of the
+contracted trees that `shapecount` reads for non-shaped counts.
 """
 
 from __future__ import annotations
@@ -107,10 +109,10 @@ class ContainmentTable:
     """Counts of each component class inside the tree and inside each class.
 
     A table belongs to the tree it was built for, and carries that tree's
-    SideIndex.  The table route fills three memos on it: the situations of
-    each weight, and the U-tables of the tree (key WHOLE_TREE) and of
-    component classes (key: the class's code).  They live exactly as long
-    as the caller keeps the table.
+    SideIndex.  The table route fills two memos on it: the situations of
+    each weight, and U-tables: the tree's (key WHOLE_TREE) and those of the
+    contracted trees behind non-shaped counts (key: the rooted code).  They
+    live exactly as long as the caller keeps the table.
     """
 
     index: SideIndex
@@ -141,7 +143,7 @@ class ContainmentTable:
         return out
 
     def u_table(self, code) -> Mapping[Expression, int]:
-        """The U-table of the table's tree (code WHOLE_TREE) or of the class
+        """The U-table of the table's tree (code WHOLE_TREE) or of the tree
         with the given rooted code, memoised."""
         out = self.u_tables.get(code)
         if out is None:

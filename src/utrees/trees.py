@@ -182,11 +182,13 @@ def rooted_code(t: RootedWeightedTree) -> CanonicalCode:
 
 
 def code_to_rooted_tree(code: CanonicalCode) -> RootedWeightedTree:
-    """Materialize the representative tree of a rooted code (root id 0).
+    """Materialize the representative tree of a rooted code (root id 0)."""
+    return RootedWeightedTree(_preorder_tree(code.code), 0)
 
-    Vertices are numbered in code order, which is a preorder.
-    """
-    seq = code.code
+
+def _preorder_tree(seq: tuple[int, ...]) -> WeightedTree:
+    """The tree whose vertices, numbered in preorder, list (weight, child
+    count) in turn; a rooted code is such a sequence, with children sorted."""
     if not seq or len(seq) % 2:
         raise TreeInputError("truncated canonical code")
     edges: list[Edge] = []
@@ -206,7 +208,7 @@ def code_to_rooted_tree(code: CanonicalCode) -> RootedWeightedTree:
     if pending:
         raise TreeInputError("truncated canonical code")
     weights = seq[0::2]
-    return RootedWeightedTree(WeightedTree(len(weights), tuple(edges), weights), 0)
+    return WeightedTree(len(weights), tuple(edges), weights)
 
 
 def centroids(t: WeightedTree) -> list[int]:

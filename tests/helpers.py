@@ -9,10 +9,18 @@ from typing import Iterator
 from hypothesis import strategies as st
 
 from utrees.generate import free_trees, random_weighted_tree
-from utrees.partitions import ExpressionCounts, _subset_components, _u_table_dp
+from utrees.partitions import (
+    Expression,
+    ExpressionCounts,
+    _subset_components,
+    _u_table_dp,
+    sub_multisets,
+)
 from utrees.situations import (
     WHOLE_TREE,
     ContainmentForest,
+    ContainmentTable,
+    Situation,
     _feasible_pairs,
     build_containment_forest,
     count_forest_assignments,
@@ -261,3 +269,32 @@ def occurrences_by_all_pair_sets(s, tbl) -> int:
         )
         total -= coef * count_forest_assignments(WHOLE_TREE, forest, tbl)
     return total
+
+
+# The ways the j-side of an expression splits over a situation's components,
+# counted by a sub-multiset search over the components' own U-tables: the
+# oracle for the contracted tree's U-table entry in `nonshaped_count`.
+def _remove_indices(items: tuple[int, ...], chosen: tuple[int, ...]) -> tuple[int, ...]:
+    picked = set(chosen)
+    return tuple(items[i] for i in range(len(items)) if i not in picked)
+
+
+def _decomposition_sum(s: Situation, side: tuple[int, ...], tbl: ContainmentTable) -> int:
+    """Sum over ordered splits of `side` across components of the partition
+    counts inside each component."""
+
+    weights = s.weights
+    tables = [tbl.u_table(code) for code in s.codes]
+
+    def rec(slot: int, remaining: tuple[int, ...]) -> int:
+        if slot == len(weights):
+            return 1 if not remaining else 0
+        total = 0
+        for chosen in sub_multisets(remaining, weights[slot]):
+            part = Expression.of(remaining[i] for i in chosen)
+            ways = tables[slot].get(part, 0)
+            if ways:
+                total += ways * rec(slot + 1, _remove_indices(remaining, chosen))
+        return total
+
+    return rec(0, side)

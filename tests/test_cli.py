@@ -3,7 +3,7 @@ import sys
 import time
 from decimal import Decimal
 
-from utrees import cli, partitions, trees
+from utrees import cli, partitions, shapecount, trees
 from utrees.cli import main
 from utrees.io import MAX_DIGITS, TreeDocument, parse_documents
 from utrees.trees import isomorphic
@@ -125,9 +125,11 @@ def test_count_with_oracle(tmp_path, capsys):
 
 
 def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
-    # one side index, and U-tables for the tree and its two classes below j
-    made = {"indexes": 0, "dps": 0}
+    # one side index, one non-shaped sum, and U-tables for the tree and the
+    # contracted tree of its one situation that occurs
+    made = {"indexes": 0, "dps": 0, "nonshaped": 0}
     init, dp = trees.SideIndex.__init__, partitions._u_table_dp
+    nonshaped = shapecount.nonshaped_count
 
     def counted_init(self, tree):
         made["indexes"] += 1
@@ -137,12 +139,17 @@ def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
         made["dps"] += 1
         return dp(t)
 
+    def counted_nonshaped(*args):
+        made["nonshaped"] += 1
+        return nonshaped(*args)
+
     monkeypatch.setattr(trees.SideIndex, "__init__", counted_init)
     monkeypatch.setattr(partitions, "_u_table_dp", counted_dp)
+    monkeypatch.setattr(shapecount, "nonshaped_count", counted_nonshaped)
     f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
     assert main(["count", f, "--j", "3", "--expr", "2,2,1"]) == 0
     assert capsys.readouterr().out == "partitions=6\nnon-shaped=2\nshaped=4\n"
-    assert made == {"indexes": 1, "dps": 3}
+    assert made == {"indexes": 1, "dps": 2, "nonshaped": 1}
 
 
 def test_situations_and_m_count(tmp_path, capsys):
@@ -251,6 +258,16 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["m-count", big, "--situation", "1,1,1,1,1"]) == 0
     assert capsys.readouterr().out == "0\n"
+
+
+def test_count_expr_takes_ascii_digits_only(tmp_path, capsys):
+    # int() would read 1_1 as 11 and accept a sign, blanks or a fullwidth 3
+    f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
+    for expr in ("3,1_1", "3,+2", "3, 2", "\uff13,2", "3,2,", "3,-2"):
+        assert main(["count", f, "--j", "2", f"--expr={expr}"]) == 2, expr
+        assert "a part of --expr must be" in capsys.readouterr().err, expr
+    assert main(["count", f, "--j", "2", "--expr=3,0,2"]) == 2
+    assert main(["count", f, "--j", "2", "--expr=3,2"]) == 0
 
 
 def test_deep_situation_spec_is_an_input_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Every subcommand that reads a tree document is total on malformed input:
-it exits 0, 1, 2 or 3, and never prints a traceback."""
+"""Every subcommand that reads a tree document is total on malformed input,
+and so are `count --expr` and `m-count --situation` on any string: each
+exits 0, 1, 2 or 3, and never prints a traceback."""
 
 import io
 import json
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utrees.cli import main
+from utrees.io import TreeDocument
 
 from helpers import weighted_trees
 
@@ -32,8 +34,8 @@ def _commands(f: str) -> list[list[str]]:
     ]
 
 
-def _check_total(f: str):
-    for argv in _commands(f):
+def _check_total(commands: list[list[str]]):
+    for argv in commands:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -78,7 +80,7 @@ def test_malformed_documents_exit_0_to_3_without_traceback(text):
     with tempfile.TemporaryDirectory() as d:
         f = Path(d) / "doc.json"
         f.write_text(text)
-        _check_total(str(f))
+        _check_total(_commands(str(f)))
 
 
 def test_unreadable_paths_exit_2_without_traceback():
@@ -86,4 +88,20 @@ def test_unreadable_paths_exit_2_without_traceback():
         bad = Path(d) / "bad.json"
         bad.write_bytes(b'{"n": 1, "edges": [], "weights": ["\xff"]}')
         for f in (d, str(bad)):
-            _check_total(f)
+            _check_total(_commands(f))
+
+
+# digits, separators and lookalikes that int() reads but a spec must refuse
+SPECS = st.text(alphabet="0123456789,() +-_x\uff13\u00b2", max_size=12) | st.text(max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_trees(max_n=6), SPECS)
+def test_drawn_expr_and_situation_strings_exit_0_to_3_without_traceback(t, spec):
+    with tempfile.TemporaryDirectory() as d:
+        f = Path(d) / "doc.json"
+        f.write_text(TreeDocument.from_tree(t).to_json())
+        _check_total([
+            ["count", str(f), "--j", "2", f"--expr={spec}", "--oracle"],
+            ["m-count", str(f), f"--situation={spec}"],
+        ])

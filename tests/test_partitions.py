@@ -179,6 +179,21 @@ def test_is_refinement_deep_multisets():
     assert not is_refinement(E(*([2] * 750), 1500), E(1500, 1499, 1), 1500, 3000)
 
 
+def test_is_refinement_refuses_fewer_or_larger_parts_without_search(monkeypatch):
+    calls = []
+    search = partitions.sub_multisets
+    monkeypatch.setattr(partitions, "sub_multisets", lambda *a: calls.append(a) or search(*a))
+    # the side (20, 1x16) against sides of 36 with fewer parts; (10, 10)
+    # against (11, 9), whose largest part no coarse part can hold
+    coarse = E(36, 20, *[1] * 16)
+    for fine in (E(36, 36), E(36, 35, 1), E(36, 20, *[2] * 8), E(36, 21, *[1] * 15)):
+        assert not is_refinement(fine, coarse, 36, 72)
+    assert not is_refinement(E(20, 11, 9), E(20, 10, 10), 20, 40)
+    assert calls == []
+    assert is_refinement(E(36, *[1] * 36), coarse, 36, 72)
+    assert calls
+
+
 def _groupable_brute(fine, coarse):
     """Try every assignment of fine parts to coarse parts."""
     return any(

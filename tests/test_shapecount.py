@@ -2,9 +2,11 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from utrees.errors import ReconstructionError, TreeInputError
-from utrees.generate import free_trees, random_weighted_tree
+from utrees.generate import free_trees, random_relabeling, random_weighted_tree
 from utrees.partitions import (
     Expression,
     count_partitions,
@@ -14,6 +16,7 @@ from utrees.partitions import (
 )
 from utrees.shapecount import (
     ShapeCensus,
+    _symmetry_factor,
     analyze_expression,
     nonshaped_count,
     reconstruct_from_census,
@@ -27,9 +30,16 @@ from utrees.situations import (
     hanging_classes,
     occurrences_by_inclusion_exclusion,
 )
-from utrees.trees import isomorphic, rooted_code
+from utrees.trees import WeightedTree, isomorphic, rooted_code
 
-from helpers import path, rooted, situation_corpus, star
+from helpers import (
+    _decomposition_sum,
+    path,
+    rooted,
+    situation_corpus,
+    star,
+    weighted_trees,
+)
 
 
 def E(*parts):
@@ -282,3 +292,41 @@ def test_minimality_with_many_unit_parts():
     t = path(20, *[1] * 16, 40)
     a = analyze_expression(t, 36, E(40, 20, *[1] * 16))
     assert (a.valid, a.minimal, a.resolved_shape) == (True, True, None)
+
+
+def _hang_from(center_weight, branches):
+    """A vertex of the given weight joined to the root of every branch."""
+    weights, edges = [center_weight], []
+    for b in branches:
+        off = len(weights)
+        weights.extend(b.tree.weights)
+        edges.extend((u + off, v + off) for u, v in b.tree.edges)
+        edges.append((0, b.root + off))
+    return WeightedTree(len(weights), tuple(edges), tuple(weights))
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_trees(max_n=7, max_weight=3), st.randoms(use_true_random=False))
+def test_contracted_tree_counts_the_splits_over_components(t, rng):
+    # for every situation and every j-side of two or more parts, the
+    # contracted tree's U-table entry, read through the table's memo under
+    # its rooted code, is the sub-multiset search over the components'
+    # U-tables; summed over occurrences it is the non-shaped count, which a
+    # one-part j-side leaves at 0
+    w = t.total_weight
+    for tree in (t, random_relabeling(t, rng)):
+        tbl = build_containment_table(tree, hanging_classes(tree))
+        for j in range(1, (w + 1) // 2 + 1):
+            expected = {}
+            for s in tbl.situations_of(j):
+                m = occurrences_by_inclusion_exclusion(tree, s, tbl)
+                table = tbl.u_table(rooted_code(rooted(_hang_from(w - j, s.components), 0)))
+                for side in _partitions(j, j):
+                    e = E(w - j, *side)
+                    d = _decomposition_sum(s, side, tbl)
+                    if len(side) >= 2:
+                        assert table.get(e, 0) == d, (tree, j, s, e)
+                    expected[e] = expected.get(e, 0) + m * d // _symmetry_factor(s)
+            for side in _partitions(j, j):
+                e = E(w - j, *side)
+                assert nonshaped_count(tree, j, e, tbl) == expected.get(e, 0), (tree, j, e)
