@@ -8,13 +8,13 @@ exponent n - w(T).  All counts are exact Python ints.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
-from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .errors import ResourceBoundError, TreeInputError
-from .trees import WeightedTree, _rooted_parent_order
+from .trees import WeightedTree, _rooted_parent_order, centroids
 
 BRUTE_VERTEX_CAP = 22
 DP_STATE_CAP = 500_000
@@ -34,7 +34,7 @@ class Expression:
 
     def __post_init__(self):
         for p in self.parts:
-            if not isinstance(p, int) or p < 1:
+            if type(p) is not int or p < 1:
                 raise TreeInputError(f"expression parts must be positive ints: {p!r}")
         if tuple(sorted(self.parts, reverse=True)) != self.parts:
             raise TreeInputError("expression parts must be sorted descending")
@@ -76,25 +76,73 @@ class ConnectedPartition:
     parts: tuple[frozenset[int], ...]
 
 
+class _CountsView(Mapping):
+    """Read-only Expression -> count view of a descending part tuple -> count
+    dict.  A lookup reads the key's parts, iteration wraps each tuple into an
+    Expression only as it is yielded, and a key that is not an Expression
+    misses."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: dict[tuple[int, ...], int]):
+        self._table = table
+
+    def __getitem__(self, e):
+        if isinstance(e, Expression):
+            return self._table[e.parts]
+        raise KeyError(e)
+
+    def get(self, e, default=None):
+        return self._table.get(e.parts, default) if isinstance(e, Expression) else default
+
+    def __iter__(self):
+        return map(Expression._trusted, self._table)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __eq__(self, other):
+        if isinstance(other, _CountsView):
+            return self._table == other._table
+        return Mapping.__eq__(self, other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._table!r})"
+
+
 @dataclass(frozen=True)
 class ExpressionCounts:
-    """The U-polynomial of a weighted tree, collapsed to a count table."""
+    """The U-polynomial of a weighted tree, collapsed to a count table.
+
+    `counts` is a read-only Expression-keyed view of a part tuple -> count
+    dict; an Expression-keyed mapping given here is converted once."""
 
     n: int
     total_weight: int
     z_exponent: int
     counts: Mapping[Expression, int]
 
+    def __post_init__(self):
+        if isinstance(self.counts, _CountsView):
+            return
+        table = {}
+        for e, c in self.counts.items():
+            if not isinstance(e, Expression):
+                raise TreeInputError(f"count table keys must be Expressions, got {e!r:.40}")
+            table[e.parts] = c
+        object.__setattr__(self, "counts", _CountsView(table))
+
     def count(self, e: Expression) -> int:
         return self.counts.get(e, 0)
 
     def canonical_text(self) -> str:
         """Byte-stable serialization: header plus descending-lex entries."""
-        items = sorted(self.counts.items(), key=lambda item: item[0].parts, reverse=True)
+        table = self.counts._table
+        keys = sorted(table, reverse=True)
         # each distinct part is formatted once
-        text = {p: str(p) for p in set().union(*[e.parts for e, _ in items])}
+        text = {p: str(p) for p in set().union(*keys)}
         lines = [f"n={self.n} w={self.total_weight} z={self.z_exponent}"]
-        lines += [f"{','.join([text[p] for p in e.parts])}: {c}" for e, c in items]
+        lines += [f"{','.join([text[p] for p in parts])}: {table[parts]}" for parts in keys]
         return "\n".join(lines) + "\n"
 
 
@@ -148,24 +196,33 @@ def _subset_components(t: WeightedTree, mask: int):
     return list(groups.values())
 
 
-def _u_table_brute(t: WeightedTree) -> dict[Expression, int]:
+def _u_table_brute(t: WeightedTree) -> dict[tuple[int, ...], int]:
     if t.n > BRUTE_VERTEX_CAP:
         raise ResourceBoundError(f"brute mode enumerates 2^{t.n - 1} subsets; cap is n <= {BRUTE_VERTEX_CAP}")
-    table: dict[Expression, int] = {}
+    table: dict[tuple[int, ...], int] = {}
     for mask in range(1 << (t.n - 1)):
-        e = Expression.of(
-            sum(t.weights[v] for v in comp) for comp in _subset_components(t, mask)
-        )
+        e = tuple(sorted(
+            (sum(t.weights[v] for v in comp) for comp in _subset_components(t, mask)),
+            reverse=True,
+        ))
         table[e] = table.get(e, 0) + 1
     return table
 
 
 def _child_lists(t: WeightedTree) -> tuple[list[int], list[list[int]]]:
-    """Preorder of t rooted at 0, and each vertex's children in that order."""
-    parent, order = _rooted_parent_order(t, 0)
+    """Preorder of t rooted at centroids(t)[0], and each vertex's children.
+
+    The root's children come smallest subtree first, so that the largest
+    child's states meet the accumulated ones only in the root's last merge.
+    """
+    root = centroids(t)[0]
+    parent, order = _rooted_parent_order(t, root)
     children: list[list[int]] = [[] for _ in range(t.n)]
-    for v in order[1:]:
+    size = [1] * t.n
+    for v in reversed(order[1:]):
         children[parent[v]].append(v)
+        size[parent[v]] += size[v]
+    children[root].sort(key=size.__getitem__)
     return order, children
 
 
@@ -182,18 +239,19 @@ def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
     root's last child merge closes the root's part and yields the table.
     """
     order, children = _child_lists(t)
+    root = order[0]
     weight = list(t.weights)  # a vertex's subtree weight, once its children are merged
-    states: list[dict[tuple[int, ...], int]] = [{} for _ in range(t.n)]
+    states: list[dict[tuple[int, ...], int] | None] = [None] * t.n
     for v in reversed(order):
         st = {(): 1}
-        last = children[v][-1] if v == 0 and children[v] else -1
+        last = children[v][-1] if v == root and children[v] else -1
         for c in children[v]:
             # per child state: closed parts, open weight, closed parts once the edge is cut
             kids = []
             for ec, cc in states[c].items():
                 oc = weight[c] - sum(ec)
                 kids.append((ec, oc, tuple(sorted(ec + (oc,), reverse=True)), cc))
-            states[c] = {}
+            states[c] = None
             nxt: dict[tuple[int, ...], int] = {}
             get = nxt.get
             if c != last:
@@ -224,32 +282,29 @@ def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
             weight[v] += weight[c]
             st = nxt
         states[v] = st
-    return states[0] if children[0] else {(weight[0],): 1}
+    return states[root] if children[root] else {(weight[root],): 1}
 
 
-def _u_table(t: WeightedTree, mode: str) -> Mapping[Expression, int]:
+def _u_table(t: WeightedTree, mode: str) -> dict[tuple[int, ...], int]:
+    """Descending part tuple -> count, by the DP or by brute subsets."""
+    if mode == "dp":
+        return _u_table_dp(t)
     if mode == "brute":
-        table = _u_table_brute(t)
-    elif mode == "dp":
-        table = {Expression._trusted(e): c for e, c in _u_table_dp(t).items()}
-    else:
-        raise TreeInputError(f"unknown u_polynomial mode {mode!r}")
-    return MappingProxyType(table)
+        return _u_table_brute(t)
+    raise TreeInputError(f"unknown u_polynomial mode {mode!r}")
 
 
 def u_polynomial(t: WeightedTree, mode: str = "dp") -> ExpressionCounts:
     """Expression-count table of t: counts[E] = #edge subsets with characteristic E."""
     w = t.total_weight
-    return ExpressionCounts(t.n, w, t.n - w, _u_table(t, mode))
+    return ExpressionCounts(t.n, w, t.n - w, _CountsView(_u_table(t, mode)))
 
 
 def count_partitions(t: WeightedTree, e: Expression, mode: str = "dp") -> int:
     """Connected partitions of t with characteristic e (0 if e misses w(T))."""
     if e.total != t.total_weight:
         return 0
-    if mode == "dp":
-        return _u_table_dp(t).get(e.parts, 0)
-    return _u_table(t, mode).get(e, 0)
+    return _u_table(t, mode).get(e.parts, 0)
 
 
 def _boundary_size(t: WeightedTree, part: frozenset[int]) -> int:
@@ -335,8 +390,13 @@ def is_refinement(e_fine: Expression, e_coarse: Expression, j: int, w_total: int
 
 
 def q_integer(k: int, base: int) -> int:
-    """Sum of base**i for i in 0..k-1."""
-    return sum(base**i for i in range(k))
+    """Sum of base**i for i in 0..k-1, by the geometric-series quotient,
+    which is exact: base - 1 divides base**k - 1."""
+    if k < 1:
+        return 0
+    if base == 1:
+        return k
+    return (base**k - 1) // (base - 1)
 
 
 def _check_value_bits(bits: int):
@@ -369,12 +429,12 @@ def _evaluate(t: WeightedTree, x: int, f: Callable[[int], int]) -> int:
             total += val * f_of[o]
         return total
 
-    states: list[dict[int, int]] = [{} for _ in range(t.n)]
+    states: list[dict[int, int] | None] = [None] * t.n
     for v in reversed(order):
         st = {t.weights[v]: 1}
         for c in children[v]:
             kid = states[c]
-            states[c] = {}
+            states[c] = None
             cut = closed(kid)  # the child's open part closes
             nxt: dict[int, int] = {}
             get = nxt.get
@@ -388,7 +448,7 @@ def _evaluate(t: WeightedTree, x: int, f: Callable[[int], int]) -> int:
                 raise _state_cap_error("evaluator DP", len(nxt), "open weights")
             st = nxt
         states[v] = st
-    return closed(states[0])
+    return closed(states[order[0]])
 
 
 def _q_integers(k: int, q: int, w: int) -> Callable[[int], int]:

@@ -30,19 +30,21 @@ class WeightedTree:
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, int) or n < 1:
+        # exact ints, as documents require: a bool equals 0 or 1 but prints
+        # and fingerprints as False or True
+        if type(n) is not int or n < 1:
             raise TreeInputError(f"vertex count must be a positive int, got {n!r}")
         if len(self.weights) != n:
             raise TreeInputError(f"expected {n} weights, got {len(self.weights)}")
         for w in self.weights:
-            if not isinstance(w, int) or w < 1:
+            if type(w) is not int or w < 1:
                 raise TreeInputError(f"weights must be positive ints, got {w!r}")
         if len(self.edges) != n - 1:
             raise TreeInputError(f"a tree on {n} vertices needs {n - 1} edges")
         norm = []
         for e in self.edges:
             u, v = e
-            if not (0 <= u < n and 0 <= v < n) or u == v:
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n) or u == v:
                 raise TreeInputError(f"bad edge {e!r}")
             norm.append((u, v) if u < v else (v, u))
         if len(set(norm)) != len(norm):
@@ -88,7 +90,7 @@ class RootedWeightedTree:
     root: int
 
     def __post_init__(self):
-        if not 0 <= self.root < self.tree.n:
+        if type(self.root) is not int or not 0 <= self.root < self.tree.n:
             raise TreeInputError(f"root {self.root} out of range")
 
     @property

@@ -4,7 +4,8 @@ from utrees import census
 from utrees.census import fingerprint, run_census
 from utrees.cli import main
 from utrees.errors import ResourceBoundError, TreeInputError
-from utrees.generate import random_relabeling
+from utrees.generate import random_relabeling, random_weighted_tree
+from utrees.partitions import Expression, u_polynomial
 from utrees.trees import WeightedTree
 
 import random
@@ -20,6 +21,25 @@ def test_fingerprint_isomorphism_invariant():
 
 def test_fingerprint_separates_path_star():
     assert fingerprint(path(1, 1, 1, 1)) != fingerprint(star(1, 1, 1, 1))
+
+
+def test_fingerprint_builds_no_expression(monkeypatch):
+    # the fingerprint path reads the DP's part tuples and never makes an
+    # Expression, checked or trusted
+    rng = random.Random(14)
+    trees = [random_weighted_tree(n, 5, rng) for n in range(1, 15) for _ in range(2)]
+    want = [fingerprint(t) for t in trees]
+
+    def refuse(*_):
+        raise AssertionError("an Expression was built on the fingerprint path")
+
+    monkeypatch.setattr(Expression, "_trusted", classmethod(refuse))
+    monkeypatch.setattr(Expression, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        Expression((1,))
+    for t, text in zip(trees, want):
+        assert fingerprint(t) == text
+        assert u_polynomial(t).canonical_text() == text
 
 
 def test_stanley_census_small():

@@ -11,6 +11,7 @@ from utrees.generate import random_relabeling
 from utrees.partitions import (
     ConnectedPartition,
     Expression,
+    ExpressionCounts,
     characteristic,
     count_partitions,
     count_shaped_partitions,
@@ -21,7 +22,7 @@ from utrees.partitions import (
     q_integer,
     u_polynomial,
 )
-from utrees.trees import WeightedTree
+from utrees.trees import WeightedTree, centroids, relabel
 
 from helpers import (
     brute_subset_sum,
@@ -48,6 +49,16 @@ def test_expression_normalization():
     assert E(2, 2, 1).j_side(3, 5) == (2, 1)
     assert E(2, 2, 1).is_j_expression(3, 5)
     assert not E(2, 3).is_j_expression(1, 5)
+
+
+def test_expression_refuses_bools():
+    for make in (
+        lambda: Expression((True,)),
+        lambda: Expression((2, False)),
+        lambda: Expression.of([True, 2]),
+    ):
+        with pytest.raises(TreeInputError, match="positive ints"):
+            make()
 
 
 def test_characteristic():
@@ -128,6 +139,106 @@ def test_canonical_text_sorts_parts_as_integers():
 def test_canonical_text_matches_sorted_pairs_rendering(t):
     u = u_polynomial(t)
     assert u.canonical_text() == sorted_pairs_text(u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_trees(max_n=9, max_weight=6))
+def test_counts_view_contract(t):
+    u = u_polynomial(t)
+    rebuilt = ExpressionCounts(u.n, u.total_weight, u.z_exponent, dict(u.counts))
+    assert rebuilt == u
+    assert rebuilt == ExpressionCounts(u.n, u.total_weight, u.z_exponent, u_polynomial(t, "brute").counts)
+    assert rebuilt.canonical_text() == u.canonical_text() == sorted_pairs_text(u) == sorted_pairs_text(rebuilt)
+    assert dict(rebuilt.counts) == dict(u.counts)
+    assert rebuilt.counts == dict(u.counts) and dict(u.counts) == u.counts
+    assert len(u.counts) == len(rebuilt.counts) == len(set(u.counts))
+    assert sum(u.counts.values()) == 2 ** (t.n - 1)
+    for e, c in u.counts.items():
+        assert type(e) is Expression and e == Expression(e.parts)
+        assert rebuilt.count(e) == u.count(e) == u.counts[e] == rebuilt.counts.get(e) == c
+        assert e in u.counts and e in rebuilt.counts
+    # a key that is not an Expression misses without raising, as does an
+    # absent expression
+    missing = E(t.total_weight + 1)
+    for counts in (u.counts, rebuilt.counts):
+        assert counts.get((2, 1)) is None and counts.get((2, 1), 0) == 0
+        assert (2, 1) not in counts and E(t.total_weight).parts not in counts
+        assert missing not in counts and counts.get(missing) is None
+        with pytest.raises(KeyError):
+            counts[(t.total_weight,)]
+        with pytest.raises(TypeError):
+            counts[E(t.total_weight)] = 2
+    assert u.count(missing) == rebuilt.count(missing) == u.count((2, 1)) == 0
+    assert u.count(E(t.total_weight)) == 1
+
+
+def test_counts_need_expression_keys():
+    with pytest.raises(TreeInputError, match="Expressions"):
+        ExpressionCounts(2, 2, 0, {(2,): 1, (1, 1): 1})
+
+
+@st.composite
+def bicentroidal_trees(draw):
+    """Two trees of k vertices each, joined by an edge between a vertex of
+    each: both ends of that edge are centroids."""
+    k = draw(st.integers(1, 4))
+    edges = []
+    for base in (0, k):
+        edges += [(base + draw(st.integers(0, v - 1)), base + v) for v in range(1, k)]
+    edges.append((draw(st.integers(0, k - 1)), k + draw(st.integers(0, k - 1))))
+    weights = tuple(draw(st.integers(1, 4)) for _ in range(2 * k))
+    return WeightedTree(2 * k, tuple(edges), weights)
+
+
+def _rooting_cases():
+    """n = 1 and 2, trees whose only centroid is not vertex 0, and trees
+    with two centroids."""
+    yield WeightedTree(1, (), (3,))
+    yield path(2, 5)
+    yield path(1, 1, 1, 1, 1)  # centroid 2
+    yield path(3, 1, 2, 1, 4, 1)  # centroids 2 and 3
+    yield relabel(star(2, 1, 3, 1, 1), [4, 0, 1, 2, 3])  # centre 4
+    yield WeightedTree(7, ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)), (1, 2, 1, 1, 3, 1, 2))
+
+
+def _check_rooting_independent(t: WeightedTree):
+    brute = u_polynomial(t, "brute")
+    assert u_polynomial(t).counts == brute.counts
+    assert u_polynomial(t).canonical_text() == brute.canonical_text()
+    for k in (1, 2):
+        assert q_chromatic(t, k, 2, "subsets") == q_chromatic(t, k, 2, "colourings")
+        assert potts_dichromate(t, 1, k, 2, 2, "subsets") == potts_dichromate(t, 1, k, 2, 2, "colourings")
+        assert q_dichromate(t, 1, k, 2) == brute_subset_sum(t, 1, lambda p: q_integer(k, 2**p))
+    order, children = partitions._child_lists(t)
+    root = order[0]
+    assert root == centroids(t)[0] and sorted(order) == list(range(t.n))
+    sizes = []
+    for c in children[root]:
+        below = [c]
+        for v in below:
+            below.extend(children[v])
+        sizes.append(len(below))
+    assert sizes == sorted(sizes)
+    return brute.canonical_text()
+
+
+@settings(max_examples=40, deadline=None)
+@given(bicentroidal_trees(), st.randoms(use_true_random=False))
+def test_rooting_independence_bicentroidal(t, rng):
+    assert len(centroids(t)) == 2
+    text = _check_rooting_independent(t)
+    assert _check_rooting_independent(random_relabeling(t, rng)) == text
+
+
+def test_rooting_independence_fixed_trees():
+    rng = random.Random(17)
+    cases = list(_rooting_cases())
+    assert [len(centroids(t)) for t in cases] == [1, 2, 1, 2, 1, 1]
+    assert all(0 not in centroids(t) for t in cases[2:])
+    for t in cases:
+        text = _check_rooting_independent(t)
+        for _ in range(3):
+            assert _check_rooting_independent(random_relabeling(t, rng)) == text
 
 
 def test_count_partitions():
@@ -224,6 +335,13 @@ def test_is_refinement_matches_assignment_oracle(pair):
     assert is_refinement(E(7, *fine), E(7, *coarse), w - 7, w) == _groupable_brute(fine, coarse)
 
 
+def test_q_integer_matches_its_sum():
+    for k in range(-1, 8):
+        for base in range(-4, 9):
+            assert q_integer(k, base) == sum(base**i for i in range(k)), (k, base)
+    assert q_integer(3, 2**40) == 1 + 2**40 + 2**80
+
+
 def test_q_chromatic_hand_values():
     single = WeightedTree(1, (), (1,))
     assert q_chromatic(single, 2, 2, "colourings") == 3
@@ -293,12 +411,17 @@ def test_evaluators_match_subset_oracle(t, x, k, q, r, rng):
 
 
 def test_count_partitions_reads_the_dp_table(monkeypatch):
-    def no_table(*_):
-        raise AssertionError("count_partitions wrapped the whole table")
+    def no_wrap(*_):
+        raise AssertionError("count_partitions wrapped a table term")
 
-    monkeypatch.setattr(partitions, "_u_table", no_table)
-    assert count_partitions(path(1, 1, 1, 1, 1), E(3, 1, 1)) == 3
-    assert count_partitions(star(1, 1, 1, 1), E(2, 2)) == 0
+    def no_brute(*_):
+        raise AssertionError("count_partitions left the DP")
+
+    e311, e22 = E(3, 1, 1), E(2, 2)
+    monkeypatch.setattr(Expression, "_trusted", classmethod(no_wrap))
+    monkeypatch.setattr(partitions, "_u_table_brute", no_brute)
+    assert count_partitions(path(1, 1, 1, 1, 1), e311) == 3
+    assert count_partitions(star(1, 1, 1, 1), e22) == 0
 
 
 @settings(max_examples=60, deadline=None)

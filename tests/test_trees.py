@@ -51,6 +51,21 @@ def test_tree_validation():
         WeightedTree(4, ((0, 1), (2, 3), (0, 1)), (1, 1, 1, 1))
 
 
+def test_tree_refuses_bools_and_non_ints():
+    # True == 1, but a bool weight would print and fingerprint as "True"
+    for args in (
+        (1, (), (True,)),
+        (2, ((0, 1),), (1, True)),
+        (True, (), (1,)),
+        (2, ((False, True),), (1, 1)),
+        (3, ((0, 1.0), (1, 2)), (1, 1, 1)),
+    ):
+        with pytest.raises(TreeInputError):
+            WeightedTree(*args)
+    with pytest.raises(TreeInputError):
+        RootedWeightedTree(path(1, 2), True)
+
+
 def _connected(n, edges):
     seen, stack = {0}, [0]
     while stack:
