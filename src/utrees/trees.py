@@ -2,7 +2,9 @@
 
 Trees, codes and the functions on them are immutable values, and nothing is
 memoised at module level: work shared between calls on one tree goes through
-that tree's SideIndex, which lives as long as its caller keeps it.  Vertex
+that tree's SideIndex, which lives as long as its caller keeps it.  A rooted
+tree computes its canonical code once and keeps it; a side representative is
+born with its index's code, so reading that takes no walk.  Vertex
 ids are 0-based and carry no meaning: every observable output (codes,
 counts) is invariant under relabeling.
 """
@@ -101,6 +103,24 @@ class RootedWeightedTree:
     def weight(self) -> int:
         return self.tree.total_weight
 
+    @cached_property
+    def code(self) -> CanonicalCode:
+        """The canonical code (see rooted_code), walked once and kept; not a
+        field, so equality and hashing ignore it.  A child's code is dropped
+        once its parent's is built: the codes still waiting belong to
+        disjoint subtrees, so together they hold at most 2n ints.
+        """
+        tree = self.tree
+        parent, order = _rooted_parent_order(tree, self.root)
+        waiting: list[list[tuple[int, ...]]] = [[] for _ in range(tree.n)]
+        for v in reversed(order):
+            kids = sorted(waiting[v])
+            waiting[v].clear()
+            flat = tuple(chain((tree.weights[v], len(kids)), *kids))
+            if parent[v] >= 0:
+                waiting[parent[v]].append(flat)
+        return CanonicalCode(flat)
+
 
 @dataclass(frozen=True, order=True)
 class CanonicalCode:
@@ -125,7 +145,9 @@ class HangingSubtree:
     `vertices` and `root` are in the host tree's ids.  `component` is the
     representative of the side's rooted class (see SideIndex.rep): a
     standalone tree rooted at 0, isomorphic to the side but not numbered
-    like it, and the same object for every isomorphic side of one call.
+    like it, and the same object for every isomorphic side of one call.  It
+    carries its class code, so rooted_code and render_rooted read it without
+    walking the tree.
     """
 
     detach_edge: Edge
@@ -167,20 +189,10 @@ def rooted_code(t: RootedWeightedTree) -> CanonicalCode:
 
     A vertex contributes (weight, child count) followed by its child codes
     sorted in code order; the flattening is prefix-parseable, so two codes
-    are equal exactly for isomorphic rooted weighted trees.  A child's code
-    is dropped once its parent's is built: the codes still waiting belong to
-    disjoint subtrees, so together they hold at most 2n ints.
+    are equal exactly for isomorphic rooted weighted trees.  The tree walks
+    for it at most once (RootedWeightedTree.code).
     """
-    tree = t.tree
-    parent, order = _rooted_parent_order(tree, t.root)
-    waiting: list[list[tuple[int, ...]]] = [[] for _ in range(tree.n)]
-    for v in reversed(order):
-        kids = sorted(waiting[v])
-        waiting[v].clear()
-        flat = tuple(chain((tree.weights[v], len(kids)), *kids))
-        if parent[v] >= 0:
-            waiting[parent[v]].append(flat)
-    return CanonicalCode(flat)
+    return t.code
 
 
 def code_to_rooted_tree(code: CanonicalCode) -> RootedWeightedTree:
@@ -359,9 +371,12 @@ class SideIndex:
         return codes[cid]
 
     def rep(self, cid: int) -> RootedWeightedTree:
-        """Representative tree of a class: its code materialized, root 0."""
+        """Representative tree of a class: its code materialized, root 0,
+        and born with that code, which only the index knows is canonical."""
         if cid not in self._reps:
-            self._reps[cid] = code_to_rooted_tree(self.code(cid))
+            rep = code_to_rooted_tree(self.code(cid))
+            vars(rep)["code"] = self.code(cid)
+            self._reps[cid] = rep
         return self._reps[cid]
 
     def inside(self, hosts) -> dict[int, Counter]:

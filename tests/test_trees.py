@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from utrees import trees
 from utrees.errors import TreeInputError
-from utrees.generate import random_relabeling
+from utrees.generate import random_relabeling, random_weighted_tree
 from utrees.io import parse_rooted_spec
 from utrees.shapecount import _inside_shape_counts
+from utrees.situations import Situation, hanging_classes
 from utrees.trees import (
     CanonicalCode,
     RootedWeightedTree,
@@ -254,6 +256,45 @@ def test_isomorphic_sides_share_one_representative():
     assert sorted(len(h.vertices) for h in sides) == [1, 1, 2, 2]
 
 
+def test_representatives_read_their_code_without_a_walk(monkeypatch):
+    rng = random.Random(15)
+    comps = []
+    for n in (2, 5, 9, 14, 23):
+        t = random_weighted_tree(n, 3, rng)
+        comps += [h.component for h in hanging_subtrees(t) + shapes(t)]
+        comps += list(hanging_classes(t))
+    # what the walk gives, read off copies that carry no code
+    fresh = [RootedWeightedTree(c.tree, c.root) for c in comps]
+    codes = [rooted_code(f) for f in fresh]
+    texts = [render_rooted(f) for f in fresh]
+    pairs = list(zip(comps, comps[1:]))
+    sits = [Situation.of(RootedWeightedTree(a.tree, a.root) for a in p) for p in pairs]
+
+    def no_walk(*args):
+        raise AssertionError("a representative walked for its code")
+
+    monkeypatch.setattr(trees, "_rooted_parent_order", no_walk)
+    assert [rooted_code(c) for c in comps] == codes
+    assert [render_rooted(c) for c in comps] == texts
+    assert [Situation.of(p) for p in pairs] == sits
+    with pytest.raises(AssertionError, match="walked"):
+        rooted_code(RootedWeightedTree(comps[0].tree, comps[0].root))
+
+
+def test_only_the_index_seeds_a_code():
+    # children out of order: not canonical, so the tree must walk for its code
+    t = code_to_rooted_tree(CanonicalCode((1, 2, 2, 0, 1, 0)))
+    assert rooted_code(t) == CanonicalCode((1, 2, 1, 0, 2, 0))
+    assert render_rooted(t) == "1(1,2)"
+    # the kept code is not a field: a seeded representative equals, and
+    # hashes like, the same tree without it
+    for h in hanging_subtrees(path(1, 2, 3, 1)):
+        rep = h.component
+        bare = RootedWeightedTree(rep.tree, rep.root)
+        assert "code" in vars(rep) and "code" not in vars(bare)
+        assert rep == bare and hash(rep) == hash(bare)
+
+
 @settings(max_examples=60, deadline=None)
 @given(weighted_trees(max_n=8, max_weight=3), st.randoms(use_true_random=False))
 def test_side_index_matches_bfs_oracle(t, rng):
@@ -265,9 +306,14 @@ def test_side_index_matches_bfs_oracle(t, rng):
         for e, root, c in idx.sides:
             vertices, side = oracle[(e, root)]
             assert idx.vertices(e, root) == vertices
-            assert idx.code(c) == rooted_code(side) == rooted_code(idx.rep(c))
-            rep = idx.rep(c).tree  # built unchecked from the code
-            assert rep == WeightedTree(rep.n, rep.edges, rep.weights)
+            rep = idx.rep(c)
+            # the representative is born with idx.code(c), so walk a copy
+            # that is not, as well as the BFS side
+            fresh = RootedWeightedTree(rep.tree, rep.root)
+            assert idx.code(c) == rooted_code(side) == rooted_code(fresh)
+            # built through the validating constructor, so rebuilding it
+            # changes nothing
+            assert rep.tree == WeightedTree(rep.n, rep.tree.edges, rep.tree.weights)
             sides.append((c, side))
         for (c, a), (d, b) in combinations(sides, 2):
             assert (c == d) == brute_rooted_isomorphic(a, b)
