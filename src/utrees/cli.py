@@ -72,7 +72,7 @@ def cmd_shapes(args) -> int:
     idx = SideIndex(_load_one(args.file).tree())
     for (u, v), root, c in idx.shapes():
         print(f"edge=({u},{v}) root={root} weight={idx.weight[c]} "
-              f"shape={render_code(idx.code(c))}")
+              f"shape={idx.text(c)}")
     return 0
 
 

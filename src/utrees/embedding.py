@@ -22,6 +22,7 @@ Both refinements are no-ops on trees whose leaves all weigh one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import MalformedEmbeddingError, TreeInputError
 from .trees import CanonicalCode, SideIndex, WeightedTree, free_code
@@ -89,29 +90,44 @@ class GoodEmbedding:
 
 
 def _coding_run(t: WeightedTree):
-    """Assign codes to all vertices but one; returns (codes, order, r)."""
+    """Assign codes to all vertices but one; returns (codes, order, r).
+
+    Leaves are coded first, in id order.  Then, step by step, the uncoded
+    vertex with one uncoded neighbour and the smallest (code value, id) is
+    coded, until some uncoded vertex has no uncoded neighbour left: that
+    vertex is r.  A vertex's code is fixed once only one of its neighbours
+    is open, so each code is built once and waits in a heap.
+    """
     n = t.n
-    leaves = [v for v in range(n) if t.degree(v) == 1]
+    adj = t.adjacency
+    leaves = [v for v in range(n) if len(adj[v]) == 1]
     codes: dict[int, BitCode] = {h: _leaf_code(t.weights[h], n) for h in leaves}
     order = sorted(leaves)
+    # open_nbrs[v]: how many neighbours of an uncoded vertex are uncoded
+    open_nbrs = [sum(u not in codes for u in adj[v]) for v in range(n)]
+    heap = []
+
+    def push(v):
+        code = _vertex_code(t.weights[v], [codes[u] for u in adj[v] if u in codes], n)
+        heappush(heap, (code.value, v, code))
+
+    for v in range(n):
+        if v not in codes:
+            if not open_nbrs[v]:
+                return codes, order, v
+            if open_nbrs[v] == 1:
+                push(v)
     while True:
-        uncoded = [v for v in range(n) if v not in codes]
-        finished = [
-            v for v in uncoded if all(u in codes for u in t.adjacency[v])
-        ]
-        if finished:
-            return codes, order, min(finished)
-        frontier = []
-        for v in uncoded:
-            open_nbrs = [u for u in t.adjacency[v] if u not in codes]
-            if len(open_nbrs) == 1:
-                entries = [codes[u] for u in t.adjacency[v] if u in codes]
-                frontier.append((_vertex_code(t.weights[v], entries, n), v))
         # the uncoded set is a subtree with >= 2 vertices, so it has ends
-        assert frontier
-        code, x = min(frontier, key=lambda item: (item[0].value, item[1]))
+        _, x, code = heappop(heap)
         codes[x] = code
         order.append(x)
+        y = next(u for u in adj[x] if u not in codes)
+        open_nbrs[y] -= 1
+        if not open_nbrs[y]:
+            return codes, order, y
+        if open_nbrs[y] == 1:
+            push(y)
 
 
 def good_encode(t: WeightedTree) -> GoodEmbedding:

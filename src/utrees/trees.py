@@ -3,10 +3,12 @@
 Trees, codes and the functions on them are immutable values, and nothing is
 memoised at module level: work shared between calls on one tree goes through
 that tree's SideIndex, which lives as long as its caller keeps it.  A rooted
-tree computes its canonical code once and keeps it; a side representative is
-born with its index's code, so reading that takes no walk.  Vertex
-ids are 0-based and carry no meaning: every observable output (codes,
-counts) is invariant under relabeling.
+tree computes its canonical code once and keeps it, and a code its nested
+text; a side representative is born with its index's code and text, so
+reading either takes no walk.  Representatives come from the preorder
+builder, whose trees are valid by construction.  Vertex ids are 0-based and
+carry no meaning: every observable output (codes, counts) is invariant
+under relabeling.
 """
 
 from __future__ import annotations
@@ -137,6 +139,28 @@ class CanonicalCode:
     def as_text(self) -> str:
         return ".".join(str(x) for x in self.code)
 
+    @cached_property
+    def text(self) -> str:
+        """The nested text of render_code, walked off the flat code once and
+        kept, unless the SideIndex that made the code gave it; not a field,
+        so equality, order and hashing ignore it."""
+        return _code_text(self.code)
+
+
+def _code_text(flat: tuple[int, ...]) -> str:
+    """Nested text of a flat rooted code, read in one pass."""
+    parts: list[str] = []
+    # children still to print below each vertex on the current path
+    left: list[int] = []
+    for w, k in zip(flat[::2], flat[1::2]):
+        parts.append(f"{w}(" if k else str(w))
+        left.append(k)
+        while len(left) > 1 and left[-1] == 0:
+            left.pop()
+            left[-1] -= 1
+            parts.append(")" if left[-1] == 0 else ",")
+    return "".join(parts)
+
 
 @dataclass(frozen=True)
 class HangingSubtree:
@@ -146,8 +170,8 @@ class HangingSubtree:
     representative of the side's rooted class (see SideIndex.rep): a
     standalone tree rooted at 0, isomorphic to the side but not numbered
     like it, and the same object for every isomorphic side of one call.  It
-    carries its class code, so rooted_code and render_rooted read it without
-    walking the tree.
+    carries its class code, and the code its text, so rooted_code and
+    render_rooted read them without walking the tree.
     """
 
     detach_edge: Edge
@@ -202,27 +226,43 @@ def code_to_rooted_tree(code: CanonicalCode) -> RootedWeightedTree:
 
 def _preorder_tree(seq: tuple[int, ...]) -> WeightedTree:
     """The tree whose vertices, numbered in preorder, list (weight, child
-    count) in turn; a rooted code is such a sequence, with children sorted."""
+    count) in turn; a rooted code is such a sequence, with children sorted.
+
+    The entries are checked here, and the parents come from a stack with
+    one entry per child still owed, so every vertex but 0 hangs from a
+    smaller one: the result is a tree by construction and skips the
+    constructor's checks.
+    """
     if not seq or len(seq) % 2:
         raise TreeInputError("truncated canonical code")
-    edges: list[Edge] = []
-    # [vertex id, children still to read] for each vertex still owed a child
-    pending: list[list[int]] = []
-    for v, k in enumerate(seq[1::2]):
-        if pending:
-            top = pending[-1]
-            edges.append((top[0], v))
-            top[1] -= 1
-            if not top[1]:
-                pending.pop()
-        elif v:
-            raise TreeInputError("trailing data in canonical code")
-        if k > 0:
-            pending.append([v, k])
-    if pending:
-        raise TreeInputError("truncated canonical code")
-    weights = seq[0::2]
-    return WeightedTree(len(weights), tuple(edges), weights)
+    if set(map(type, seq)) != {int}:
+        bad = next(x for x in seq if type(x) is not int)
+        raise TreeInputError(f"canonical code entries must be ints, got {bad!r}")
+    weights, kids = tuple(seq[0::2]), seq[1::2]
+    if min(weights) < 1:
+        raise TreeInputError(f"weights must be positive ints, got {min(weights)!r}")
+    if min(kids) < 0:
+        raise TreeInputError(f"child counts must be non-negative, got {min(kids)!r}")
+    n = len(weights)
+    # n - 1 owed children in all is necessary; with it, the stack can only
+    # run dry early, and the code then ends in a second tree
+    owing = sum(kids)
+    if owing != n - 1:
+        raise TreeInputError(
+            "truncated canonical code" if owing > n - 1 else "trailing data in canonical code"
+        )
+    owed = [0] * kids[0]
+    parents: list[int] = []
+    try:
+        for v, k in enumerate(kids[1:], 1):
+            parents.append(owed.pop())
+            if k:
+                owed += [v] * k
+    except IndexError:
+        raise TreeInputError("trailing data in canonical code") from None
+    tree = object.__new__(WeightedTree)
+    vars(tree).update(n=n, edges=tuple(zip(parents, range(1, n))), weights=weights)
+    return tree
 
 
 def centroids(t: WeightedTree) -> list[int]:
@@ -274,8 +314,8 @@ class SideIndex:
 
     `sides` lists (edge, root, class id) for both sides of every edge, in the
     order of hanging_subtrees.  Per class, `keys`, `size` and `weight` hold
-    the key, the vertex count and the total weight.  Canonical codes and
-    representative trees are built on request and kept on the index.
+    the key, the vertex count and the total weight.  Canonical codes, texts
+    and representative trees are built on request and kept on the index.
     """
 
     def __init__(self, tree: WeightedTree):
@@ -285,9 +325,14 @@ class SideIndex:
         self.weight: list[int] = []
         self._ids: dict[tuple[int, tuple[int, ...]], int] = {}
         self._codes: dict[int, CanonicalCode] = {}
+        self._texts: dict[int, str] = {}
         self._reps: dict[int, RootedWeightedTree] = {}
         parent, pre, down = self._down_pass(tree, 0)
         self._parent, self._pre, self._down = parent, pre, down
+        # _pos[v]: v's place in the preorder, where its down side starts
+        self._pos = [0] * tree.n
+        for i, v in enumerate(pre):
+            self._pos[v] = i
         kids: list[list[int]] = [[] for _ in pre]
         for v in pre[1:]:
             kids[parent[v]].append(v)
@@ -344,7 +389,7 @@ class SideIndex:
         """Host vertex ids of the side of `edge` that holds `root`."""
         u, v = edge
         low = v if self._parent[v] == u else u
-        i = self._pre.index(low)
+        i = self._pos[low]
         j = i + self.size[self._down[low]]
         return frozenset(self._pre[i:j] if root == low else self._pre[:i] + self._pre[j:])
 
@@ -370,12 +415,31 @@ class SideIndex:
                 codes[c] = CanonicalCode(tuple(flat))
         return codes[cid]
 
+    def text(self, cid: int) -> str:
+        """Nested text of a class (see render_code), composed like code():
+        each class joins its children's texts in code order."""
+        texts = self._texts
+        if cid not in texts:
+            self.code(cid)
+            codes = self._codes
+            for c in self._below([cid], texts):
+                weight, kids = self.keys[c]
+                if kids:
+                    inner = ",".join([texts[k] for k in sorted(kids, key=lambda k: codes[k].code)])
+                    texts[c] = f"{weight}({inner})"
+                else:
+                    texts[c] = str(weight)
+        return texts[cid]
+
     def rep(self, cid: int) -> RootedWeightedTree:
         """Representative tree of a class: its code materialized, root 0,
-        and born with that code, which only the index knows is canonical."""
+        and born with that code and its text, which only the index knows
+        are canonical."""
         if cid not in self._reps:
-            rep = code_to_rooted_tree(self.code(cid))
-            vars(rep)["code"] = self.code(cid)
+            code = self.code(cid)
+            vars(code)["text"] = self.text(cid)
+            rep = code_to_rooted_tree(code)
+            vars(rep)["code"] = code
             self._reps[cid] = rep
         return self._reps[cid]
 
@@ -437,20 +501,11 @@ def alpha_vector(t: WeightedTree) -> tuple[int, ...]:
 def render_code(code: CanonicalCode) -> str:
     """Compact nested text of a rooted code, e.g. '1(1,2(1))'.
 
-    Children print in code order, read straight off the code.
+    Children print in code order.  The text is kept on the code: a code
+    from a SideIndex representative already holds the index's composed
+    text, and any other code reads its text off the flat sequence once.
     """
-    flat = code.code
-    parts: list[str] = []
-    # children still to print below each vertex on the current path
-    left: list[int] = []
-    for w, k in zip(flat[::2], flat[1::2]):
-        parts.append(f"{w}(" if k else str(w))
-        left.append(k)
-        while len(left) > 1 and left[-1] == 0:
-            left.pop()
-            left[-1] -= 1
-            parts.append(")" if left[-1] == 0 else ",")
-    return "".join(parts)
+    return code.text
 
 
 def render_rooted(t: RootedWeightedTree) -> str:

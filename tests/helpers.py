@@ -8,6 +8,7 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
+from utrees.embedding import BitCode, _leaf_code, _vertex_code
 from utrees.generate import free_trees, random_weighted_tree
 from utrees.partitions import (
     Expression,
@@ -71,6 +72,43 @@ def weighted_trees(draw, max_n=8, max_weight=3):
     n = draw(st.integers(2, max_n))
     parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
     weights = tuple(draw(st.integers(1, max_weight)) for _ in range(n))
+    return WeightedTree(n, tuple((p, v) for v, p in enumerate(parents, 1)), weights)
+
+
+def coding_run_by_scan(t: WeightedTree) -> tuple[dict[int, BitCode], list[int], int]:
+    """The encoder's coding run by rescanning every vertex each step: the
+    quadratic route that embedding._coding_run replaces.  Returns
+    (codes, order, r) as it does."""
+    n = t.n
+    leaves = [v for v in range(n) if t.degree(v) == 1]
+    codes = {h: _leaf_code(t.weights[h], n) for h in leaves}
+    order = sorted(leaves)
+    while True:
+        uncoded = [v for v in range(n) if v not in codes]
+        finished = [v for v in uncoded if all(u in codes for u in t.adjacency[v])]
+        if finished:
+            return codes, order, min(finished)
+        frontier = []
+        for v in uncoded:
+            open_nbrs = [u for u in t.adjacency[v] if u not in codes]
+            if len(open_nbrs) == 1:
+                entries = [codes[u] for u in t.adjacency[v] if u in codes]
+                frontier.append((_vertex_code(t.weights[v], entries, n), v))
+        # the uncoded set is a subtree with >= 2 vertices, so it has ends
+        assert frontier
+        code, x = min(frontier, key=lambda item: (item[0].value, item[1]))
+        codes[x] = code
+        order.append(x)
+
+
+@st.composite
+def encodable_trees(draw, min_n=3, max_n=40):
+    """Trees in the encoder's domain: random, unit-weight, or with every
+    weight drawn up to the n-bit cap."""
+    n = draw(st.integers(min_n, max_n))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    cap = draw(st.sampled_from([1, 3, 2**n - 1]))
+    weights = tuple(draw(st.integers(1, cap)) for _ in range(n))
     return WeightedTree(n, tuple((p, v) for v, p in enumerate(parents, 1)), weights)
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from utrees.embedding import (
     GoodEmbedding,
@@ -14,7 +16,7 @@ from utrees.errors import MalformedEmbeddingError, TreeInputError
 from utrees.generate import random_encodable_tree, random_relabeling
 from utrees.trees import WeightedTree, hanging_subtrees, isomorphic, render_code
 
-from helpers import path, star
+from helpers import coding_run_by_scan, encodable_trees, path, spider, star
 
 
 def test_encode_three_path_unit():
@@ -105,6 +107,25 @@ def test_monotone_codes():
             for u in t.adjacency[v]:
                 if u in pos and pos[u] < pos[v]:
                     assert codes[v].value > codes[u].value
+
+
+def _bits(run):
+    codes, order, r = run
+    return {v: (c.value, c.length) for v, c in codes.items()}, order, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(encodable_trees(), st.randoms(use_true_random=False))
+# a star (r found before any step), paths and a unit spider
+@example(star(3, 1, 1, 1), random.Random(0))
+@example(path(5, 1, 6), random.Random(0))
+@example(path(*range(1, 11)), random.Random(0))
+@example(spider(3, 3), random.Random(0))
+def test_coding_run_matches_scan_oracle(t, rng):
+    # the heap keeps each code from the step its vertex reached the frontier;
+    # the scan rebuilds every frontier code at every step
+    for tree in (t, random_relabeling(t, rng)):
+        assert _bits(_coding_run(tree)) == _bits(coding_run_by_scan(tree))
 
 
 def test_unique_pending_shape():

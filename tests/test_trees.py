@@ -23,6 +23,7 @@ from utrees.trees import (
     hang_count,
     hanging_subtrees,
     relabel,
+    render_code,
     render_rooted,
     rooted_code,
     shape_count,
@@ -153,6 +154,29 @@ def test_code_to_rooted_tree_rejects_malformed_codes():
         code_to_rooted_tree(CanonicalCode(code.code + (1, 0)))
     with pytest.raises(TreeInputError, match="positive"):
         code_to_rooted_tree(CanonicalCode((1, 1, 0, 0)))
+    with pytest.raises(TreeInputError, match="positive"):
+        code_to_rooted_tree(CanonicalCode((1, 1, -2, 0)))
+    with pytest.raises(TreeInputError, match="non-negative"):
+        code_to_rooted_tree(CanonicalCode((1, -1)))
+    with pytest.raises(TreeInputError, match="non-negative"):
+        code_to_rooted_tree(CanonicalCode((1, 2, 1, -1, 1, 0, 1, 0)))
+    # exact ints only, in weights and child counts alike
+    for bad in ((True, 0), (1, 1, 1, False), (1.0, 0), (1, 1.0, 1, 0), (1, 1, 2, 0.0)):
+        with pytest.raises(TreeInputError, match="must be ints"):
+            code_to_rooted_tree(CanonicalCode(bad))
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_trees(max_n=12, max_weight=4), st.data())
+def test_preorder_builder_makes_valid_trees(t, data):
+    # the builder skips the constructor's checks: rebuilding through them
+    # must give the same tree, and the code must read back unchanged
+    root = data.draw(st.integers(0, t.n - 1))
+    code = rooted_code(rooted(t, root))
+    back = code_to_rooted_tree(code)
+    assert WeightedTree(back.n, back.tree.edges, back.tree.weights) == back.tree
+    assert all(u < v for u, v in back.tree.edges)
+    assert rooted_code(RootedWeightedTree(back.tree, 0)) == code
 
 
 def test_hanging_subtrees_two_path():
@@ -271,14 +295,31 @@ def test_representatives_read_their_code_without_a_walk(monkeypatch):
     sits = [Situation.of(RootedWeightedTree(a.tree, a.root) for a in p) for p in pairs]
 
     def no_walk(*args):
-        raise AssertionError("a representative walked for its code")
+        raise AssertionError("a representative walked for its code or text")
 
+    # neither the tree walk for a code nor the code walk for a text
     monkeypatch.setattr(trees, "_rooted_parent_order", no_walk)
+    monkeypatch.setattr(trees, "_code_text", no_walk)
     assert [rooted_code(c) for c in comps] == codes
     assert [render_rooted(c) for c in comps] == texts
+    assert [render_code(rooted_code(c)) for c in comps] == texts
     assert [Situation.of(p) for p in pairs] == sits
     with pytest.raises(AssertionError, match="walked"):
         rooted_code(RootedWeightedTree(comps[0].tree, comps[0].root))
+    with pytest.raises(AssertionError, match="walked"):
+        render_code(CanonicalCode(codes[0].code))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_trees(max_n=14, max_weight=3), st.data())
+def test_index_texts_match_the_walk(t, data):
+    idx = SideIndex(t)
+    extra = rooted(t, data.draw(st.integers(0, t.n - 1)))
+    idx.add(extra)
+    for c in range(len(idx.keys)):
+        # a copy of the code that the index never gave a text to
+        assert idx.text(c) == render_code(CanonicalCode(idx.code(c).code))
+    assert idx.text(idx.add(extra)) == render_rooted(extra)
 
 
 def test_only_the_index_seeds_a_code():
@@ -311,8 +352,8 @@ def test_side_index_matches_bfs_oracle(t, rng):
             # that is not, as well as the BFS side
             fresh = RootedWeightedTree(rep.tree, rep.root)
             assert idx.code(c) == rooted_code(side) == rooted_code(fresh)
-            # built through the validating constructor, so rebuilding it
-            # changes nothing
+            # built by the preorder builder, which skips the constructor's
+            # checks: rebuilding through them changes nothing
             assert rep.tree == WeightedTree(rep.n, rep.tree.edges, rep.tree.weights)
             sides.append((c, side))
         for (c, a), (d, b) in combinations(sides, 2):
