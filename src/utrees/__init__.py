@@ -67,7 +67,6 @@ from .trees import (
     isomorphic,
     render_code,
     rooted_code,
-    rooted_isomorphic,
     shape_count,
     shapes,
 )

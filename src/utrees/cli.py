@@ -3,12 +3,14 @@
 Exit codes: 0 success (holds / isomorphic), 1 semantic negative (not
 isomorphic, collision found, check failed), 2 input error, 3 resource bound
 exceeded, 4 internal inconsistency (two routes that must agree did not) or
-any other unexpected error, which is a bug.
+any other unexpected error, which is a bug, and 141 when the reader of
+stdout closed it early (128 + SIGPIPE, as a shell reports such a writer).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .census import run_census
@@ -266,7 +268,15 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(MAX_DIGITS)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # a closed pipe shows up at the last write, so make that happen here
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone, as `| head` does; point stdout at devnull so
+        # the interpreter's final flush of what is still buffered stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (TreeInputError, MalformedEmbeddingError, MissingTableEntryError,
             ReconstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

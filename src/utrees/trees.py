@@ -4,11 +4,12 @@ Trees, codes and the functions on them are immutable values, and nothing is
 memoised at module level: work shared between calls on one tree goes through
 that tree's SideIndex, which lives as long as its caller keeps it.  A rooted
 tree computes its canonical code once and keeps it, and a code its nested
-text; a side representative is born with its index's code and text, so
-reading either takes no walk.  Representatives come from the preorder
-builder, whose trees are valid by construction.  Vertex ids are 0-based and
-carry no meaning: every observable output (codes, counts) is invariant
-under relabeling.
+text.  A side representative is born with only what its index knows: its
+code and text, weight and vertex count, so reading any of them takes no
+walk; its tree is built from the code by the preorder builder (valid by
+construction) on the first read of `.tree`, and kept.  Vertex ids are
+0-based and carry no meaning: every observable output (codes, counts) is
+invariant under relabeling.
 """
 
 from __future__ import annotations
@@ -97,11 +98,19 @@ class RootedWeightedTree:
         if type(self.root) is not int or not 0 <= self.root < self.tree.n:
             raise TreeInputError(f"root {self.root} out of range")
 
-    @property
+    def __getattr__(self, name):
+        # called only for a missing attribute: a side representative holds
+        # its code until something reads its tree, which is then built once
+        if name == "tree" and "code" in vars(self):
+            tree = vars(self)["tree"] = _preorder_tree(self.code.code)
+            return tree
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @cached_property
     def n(self) -> int:
         return self.tree.n
 
-    @property
+    @cached_property
     def weight(self) -> int:
         return self.tree.total_weight
 
@@ -170,8 +179,10 @@ class HangingSubtree:
     representative of the side's rooted class (see SideIndex.rep): a
     standalone tree rooted at 0, isomorphic to the side but not numbered
     like it, and the same object for every isomorphic side of one call.  It
-    carries its class code, and the code its text, so rooted_code and
-    render_rooted read them without walking the tree.
+    carries its class code, the code's text, its weight and its vertex
+    count, so rooted_code, render_rooted, `.weight` and `.n` read them
+    without a walk; its tree is built from the code on the first read of
+    `.tree`.
     """
 
     detach_edge: Edge
@@ -294,10 +305,6 @@ def free_code(t: WeightedTree) -> CanonicalCode:
     return min(rooted_code(RootedWeightedTree(t, c)) for c in centroids(t))
 
 
-def rooted_isomorphic(a: RootedWeightedTree, b: RootedWeightedTree) -> bool:
-    return rooted_code(a) == rooted_code(b)
-
-
 def isomorphic(a: WeightedTree, b: WeightedTree) -> bool:
     return free_code(a) == free_code(b)
 
@@ -315,7 +322,8 @@ class SideIndex:
     `sides` lists (edge, root, class id) for both sides of every edge, in the
     order of hanging_subtrees.  Per class, `keys`, `size` and `weight` hold
     the key, the vertex count and the total weight.  Canonical codes, texts
-    and representative trees are built on request and kept on the index.
+    and representatives are made on request and kept on the index; a
+    representative's tree waits until it is read (see rep).
     """
 
     def __init__(self, tree: WeightedTree):
@@ -432,14 +440,15 @@ class SideIndex:
         return texts[cid]
 
     def rep(self, cid: int) -> RootedWeightedTree:
-        """Representative tree of a class: its code materialized, root 0,
-        and born with that code and its text, which only the index knows
-        are canonical."""
+        """Representative tree of a class, rooted at 0.  It is born with
+        what the index knows: the class code and its text (which only the
+        index knows are canonical), the weight and the vertex count.  Its
+        tree is built from the code on the first read of `.tree`."""
         if cid not in self._reps:
             code = self.code(cid)
             vars(code)["text"] = self.text(cid)
-            rep = code_to_rooted_tree(code)
-            vars(rep)["code"] = code
+            rep = object.__new__(RootedWeightedTree)
+            vars(rep).update(root=0, code=code, n=self.size[cid], weight=self.weight[cid])
             self._reps[cid] = rep
         return self._reps[cid]
 

@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
 import sys
 import time
 from decimal import Decimal
 
+import utrees
 from utrees import cli, partitions, shapecount, trees
 from utrees.cli import main
 from utrees.io import MAX_DIGITS, TreeDocument, parse_documents
@@ -285,3 +288,25 @@ def test_unexpected_error_exits_4(tmp_path, capsys, monkeypatch):
     f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
     assert main(["m-count", f, "--situation", "1,1(1)"]) == 4
     assert "internal error: ZeroDivisionError: boom" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # a reader that stops after one line, as `| head -1` does; the ~500 kB
+    # of shapes are far more than a pipe buffers, so the writer meets the
+    # closed end
+    f = write_doc(tmp_path, "p400.json", path(*([1] * 400)))
+    src = os.path.dirname(os.path.dirname(utrees.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "utrees.cli", "shapes", f],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first == b"edge=(1,2) root=1 weight=2 shape=1(1)\n"
+    assert err == b""

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from itertools import combinations
@@ -308,6 +310,30 @@ def test_representatives_read_their_code_without_a_walk(monkeypatch):
         rooted_code(RootedWeightedTree(comps[0].tree, comps[0].root))
     with pytest.raises(AssertionError, match="walked"):
         render_code(CanonicalCode(codes[0].code))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_trees(max_n=14, max_weight=3), st.randoms(use_true_random=False))
+def test_representatives_build_their_tree_only_when_read(t, rng):
+    def no_build(*args):
+        raise AssertionError("a representative built its tree")
+
+    for tree in (t, random_relabeling(t, rng)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trees, "_preorder_tree", no_build)
+            comps = [h.component for h in hanging_subtrees(tree) + shapes(tree)]
+            comps += hanging_classes(tree)
+            seen = [(rooted_code(c), render_rooted(c), c.weight, c.n) for c in comps]
+            # copies of a representative whose tree is still unbuilt
+            copies = [(pickle.loads(pickle.dumps(c)), copy.deepcopy(c)) for c in comps]
+        for c, (code, text, weight, n), kept in zip(comps, seen, copies):
+            built = code_to_rooted_tree(code)
+            assert c == built and hash(c) == hash(built)
+            assert text == render_rooted(built)
+            assert (weight, n) == (built.weight, built.n) == (c.tree.total_weight, c.tree.n)
+            for other in kept + (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+                assert other == c and hash(other) == hash(c)
+                assert rooted_code(other) == code and (other.weight, other.n) == (weight, n)
 
 
 @settings(max_examples=60, deadline=None)
