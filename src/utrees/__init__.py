@@ -21,10 +21,8 @@ from .errors import (
 from .generate import free_trees, random_weighted_tree
 from .io import TreeDocument, load_documents, parse_rooted_spec, parse_situation_spec
 from .partitions import (
-    ConnectedPartition,
     Expression,
     ExpressionCounts,
-    characteristic,
     count_partitions,
     count_shaped_partitions,
     is_refinement,

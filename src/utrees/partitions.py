@@ -14,7 +14,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from .errors import ResourceBoundError, TreeInputError
-from .trees import WeightedTree, _rooted_parent_order, centroids
+from .trees import WeightedTree, _centroids_of, _rooted_parent_order, _subtree_sizes
 
 BRUTE_VERTEX_CAP = 22
 DP_STATE_CAP = 500_000
@@ -67,13 +67,6 @@ class Expression:
 
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
-
-
-@dataclass(frozen=True)
-class ConnectedPartition:
-    """Disjoint vertex sets covering V(T), each inducing a connected subtree."""
-
-    parts: tuple[frozenset[int], ...]
 
 
 class _CountsView(Mapping):
@@ -146,35 +139,6 @@ class ExpressionCounts:
         return "\n".join(lines) + "\n"
 
 
-def characteristic(p: ConnectedPartition, t: WeightedTree) -> Expression:
-    """Multiset of part weights of a connected partition of t."""
-    seen: set[int] = set()
-    weights = []
-    for part in p.parts:
-        if not part:
-            raise TreeInputError("empty part")
-        if part & seen:
-            raise TreeInputError("parts are not disjoint")
-        seen |= part
-        if not part <= set(range(t.n)):
-            raise TreeInputError("part contains unknown vertex ids")
-        start = next(iter(part))
-        reach = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in t.adjacency[v]:
-                if u in part and u not in reach:
-                    reach.add(u)
-                    stack.append(u)
-        if reach != part:
-            raise TreeInputError(f"part {sorted(part)} is not connected")
-        weights.append(sum(t.weights[v] for v in part))
-    if len(seen) != t.n:
-        raise TreeInputError("parts do not cover the vertex set")
-    return Expression.of(weights)
-
-
 def _subset_components(t: WeightedTree, mask: int):
     """Components of (V, A) where A = edges selected by mask bits."""
     parent = list(range(t.n))
@@ -215,13 +179,15 @@ def _child_lists(t: WeightedTree) -> tuple[list[int], list[list[int]]]:
     The root's children come smallest subtree first, so that the largest
     child's states meet the accumulated ones only in the root's last merge.
     """
-    root = centroids(t)[0]
-    parent, order = _rooted_parent_order(t, root)
+    parent, order = _rooted_parent_order(t, 0)
+    size = _subtree_sizes(parent, order)
+    root = _centroids_of(t, parent, size)[0]
+    if root:  # otherwise the walk from vertex 0 serves
+        parent, order = _rooted_parent_order(t, root)
+        size = _subtree_sizes(parent, order)
     children: list[list[int]] = [[] for _ in range(t.n)]
-    size = [1] * t.n
     for v in reversed(order[1:]):
         children[parent[v]].append(v)
-        size[parent[v]] += size[v]
     children[root].sort(key=size.__getitem__)
     return order, children
 
@@ -233,56 +199,90 @@ def _state_cap_error(dp: str, size: int, what: str) -> ResourceBoundError:
 def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
     """Descending part tuple -> number of edge subsets with those component weights.
 
-    A vertex's state maps the descending tuple of the parts closed within
-    its subtree to a count.  The part still open at the vertex weighs the
-    subtree's weight less those parts, so it needs no key of its own.  The
-    root's last child merge closes the root's part and yields the table.
+    A vertex's state maps the multiset of parts closed in its subtree, packed
+    into one int, to a count.  The low w(T).bit_length() bits hold the closed
+    weight; above them, part weight p owns a field of min(w(T) // p,
+    n).bit_length() bits counting its parts, so a multiset union is a sum.
+    Fields are handed out as weights first close: one per weight up to w(T)
+    would take w(T) bits, and encoded trees weigh 2^40 and more.  `parts`
+    maps keys to descending tuples, each sorted once; the root's last merge
+    makes only keys of weight w(T), so each is new there and named at once.
     """
     order, children = _child_lists(t)
     root = order[0]
+    if not children[root]:
+        return {(t.weights[root],): 1}
+    n, w = t.n, t.total_weight
+    free = w.bit_length()  # the lowest bit no field holds yet
+    low = (1 << free) - 1
+    one: dict[int, int] = {}  # part weight -> key of one part of that weight
+    parts: dict[int, tuple[int, ...]] = {0: ()}
+
+    def field(p: int) -> int:
+        nonlocal free
+        one[p] = key = p + (1 << free)
+        free += min(w // p, n).bit_length()
+        return key
+
     weight = list(t.weights)  # a vertex's subtree weight, once its children are merged
-    states: list[dict[tuple[int, ...], int] | None] = [None] * t.n
+    states: list[dict[int, int] | None] = [None] * n
+    last = children[root][-1]
     for v in reversed(order):
-        st = {(): 1}
-        last = children[v][-1] if v == root and children[v] else -1
+        st = {0: 1}
         for c in children[v]:
-            # per child state: closed parts, open weight, closed parts once the edge is cut
+            # per child state: closed parts, their tuple, open weight, closed parts once the edge is cut
             kids = []
-            for ec, cc in states[c].items():
-                oc = weight[c] - sum(ec)
-                kids.append((ec, oc, tuple(sorted(ec + (oc,), reverse=True)), cc))
+            for kc, cc in states[c].items():
+                oc = weight[c] - (kc & low)
+                cut = kc + (one.get(oc) or field(oc))
+                tc = parts[kc]
+                if cut not in parts:
+                    parts[cut] = tuple(sorted(tc + (oc,), reverse=True))
+                kids.append((kc, tc, oc, cut, cc))
             states[c] = None
-            nxt: dict[tuple[int, ...], int] = {}
+            nxt: dict[int, int] = {}
             get = nxt.get
             if c != last:
-                for ep, cp in st.items():
-                    for ec, oc, cut, cc in kids:
+                for kp, cp in st.items():
+                    for kc, tc, oc, cut, cc in kids:
                         m = cp * cc
                         # cut the edge: the child's open part closes
-                        key = tuple(sorted(ep + cut, reverse=True)) if ep else cut
-                        nxt[key] = get(key, 0) + m
+                        k = kp + cut
+                        nxt[k] = get(k, 0) + m
+                        if k not in parts:
+                            parts[k] = tuple(sorted(parts[kp] + parts[cut], reverse=True))
                         # keep the edge: the child's open part joins v's
-                        key = tuple(sorted(ep + ec, reverse=True)) if ep else ec
-                        nxt[key] = get(key, 0) + m
+                        k = kp + kc
+                        nxt[k] = get(k, 0) + m
+                        if k not in parts:
+                            parts[k] = tuple(sorted(parts[kp] + tc, reverse=True))
                     if len(nxt) > DP_STATE_CAP:
                         raise _state_cap_error("U-table DP", len(nxt), "states")
             else:
-                # as above, with the root's open part op closed as well
-                for ep, cp in st.items():
-                    op = weight[v] - sum(ep)
-                    epo = ep + (op,)
-                    for ec, oc, cut, cc in kids:
+                # as above, with the root's open part op closed too; names the table's keys
+                names = []
+                for kp, cp in st.items():
+                    op = weight[v] - (kp & low)
+                    kpo = kp + (one.get(op) or field(op))
+                    for kc, tc, oc, cut, cc in kids:
                         m = cp * cc
-                        key = tuple(sorted(epo + cut, reverse=True))
-                        nxt[key] = get(key, 0) + m
-                        key = tuple(sorted(ep + ec + (op + oc,), reverse=True))
-                        nxt[key] = get(key, 0) + m
+                        k = kpo + cut
+                        x = get(k)
+                        if x is None:
+                            names.append(tuple(sorted(parts[kp] + (op,) + parts[cut], reverse=True)))
+                        nxt[k] = (x or 0) + m
+                        s = op + oc
+                        k = kp + kc + (one.get(s) or field(s))
+                        x = get(k)
+                        if x is None:
+                            names.append(tuple(sorted(parts[kp] + tc + (s,), reverse=True)))
+                        nxt[k] = (x or 0) + m
                     if len(nxt) > DP_STATE_CAP:
                         raise _state_cap_error("U-table DP", len(nxt), "states")
             weight[v] += weight[c]
             st = nxt
         states[v] = st
-    return states[root] if children[root] else {(weight[root],): 1}
+    return dict(zip(names, st.values()))
 
 
 def _u_table(t: WeightedTree, mode: str) -> dict[tuple[int, ...], int]:

@@ -276,25 +276,38 @@ def _preorder_tree(seq: tuple[int, ...]) -> WeightedTree:
     return tree
 
 
-def centroids(t: WeightedTree) -> list[int]:
-    """The one or two vertices minimizing the largest component of T - v."""
-    if t.n == 1:
-        return [0]
-    parent, order = _rooted_parent_order(t, 0)
-    size = [1] * t.n
+def _subtree_sizes(parent: list[int], order: list[int]) -> list[int]:
+    """Vertex count of each vertex's subtree, from a parent array and preorder."""
+    size = [1] * len(order)
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
-    best, out = t.n + 1, []
-    for v in order:
-        heaviest = t.n - size[v]
-        for u in t.adjacency[v]:
-            if parent[u] == v:
-                heaviest = max(heaviest, size[u])
-        if heaviest < best:
-            best, out = heaviest, [v]
-        elif heaviest == best:
-            out.append(v)
-    return sorted(out)
+    return size
+
+
+def _centroids_of(t: WeightedTree, parent: list[int], size: list[int]) -> list[int]:
+    """centroids(t), from t's parent array and subtree sizes under vertex 0.
+
+    Step from vertex 0 into the child side holding more than half the
+    vertices while there is one; at the vertex where that stops, every
+    component of T - v holds at most half, and a child side of exactly half
+    holds the other centroid.
+    """
+    adj = t.adjacency
+    v = 0
+    while True:
+        for u in adj[v]:
+            if 2 * size[u] > t.n and parent[u] == v:
+                v = u
+                break
+        else:
+            break
+    return sorted([v] + [u for u in adj[v] if parent[u] == v and 2 * size[u] == t.n])
+
+
+def centroids(t: WeightedTree) -> list[int]:
+    """The one or two vertices minimizing the largest component of T - v."""
+    parent, order = _rooted_parent_order(t, 0)
+    return _centroids_of(t, parent, _subtree_sizes(parent, order))
 
 
 def free_code(t: WeightedTree) -> CanonicalCode:

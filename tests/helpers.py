@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator
 
 from hypothesis import strategies as st
 
 from utrees.embedding import BitCode, _leaf_code, _vertex_code
+from utrees.errors import TreeInputError
 from utrees.generate import free_trees, random_weighted_tree
 from utrees.partitions import (
     Expression,
@@ -27,6 +29,42 @@ from utrees.situations import (
     count_forest_assignments,
 )
 from utrees.trees import Edge, RootedWeightedTree, WeightedTree
+
+
+@dataclass(frozen=True)
+class ConnectedPartition:
+    """Disjoint vertex sets covering V(T), each inducing a connected subtree."""
+
+    parts: tuple[frozenset[int], ...]
+
+
+def characteristic(p: ConnectedPartition, t: WeightedTree) -> Expression:
+    """Multiset of part weights of a connected partition of t."""
+    seen: set[int] = set()
+    weights = []
+    for part in p.parts:
+        if not part:
+            raise TreeInputError("empty part")
+        if part & seen:
+            raise TreeInputError("parts are not disjoint")
+        seen |= part
+        if not part <= set(range(t.n)):
+            raise TreeInputError("part contains unknown vertex ids")
+        start = next(iter(part))
+        reach = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for u in t.adjacency[v]:
+                if u in part and u not in reach:
+                    reach.add(u)
+                    stack.append(u)
+        if reach != part:
+            raise TreeInputError(f"part {sorted(part)} is not connected")
+        weights.append(sum(t.weights[v] for v in part))
+    if len(seen) != t.n:
+        raise TreeInputError("parts do not cover the vertex set")
+    return Expression.of(weights)
 
 
 def path(*weights: int) -> WeightedTree:

@@ -230,6 +230,15 @@ def test_census_cli(capsys):
     assert out.endswith("separates\n")
 
 
+def test_goodset_census_cli_at_its_largest_source_size(capsys):
+    # encoded trees weigh up to 2^34 here: the table DP must give fields only
+    # to the part weights that occur
+    assert main(["census", "--mode", "goodset", "--max-n", "7"]) == 0
+    out = capsys.readouterr().out
+    assert "trees=50\n" in out and "good-set-checks=pass\n" in out and "collisions=0\n" in out
+    assert out.endswith("separates\n")
+
+
 def test_census_size_range_exit_codes(capsys):
     for argv in (["--max-n", "0"], ["--max-n", "-1"], ["--mode", "goodset", "--max-n", "2"]):
         assert main(["census", *argv]) == 2

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utrees import partitions
+from utrees.embedding import good_encode
 from utrees.errors import ResourceBoundError, TreeInputError
 from utrees.generate import random_relabeling
 from utrees.partitions import (
-    ConnectedPartition,
     Expression,
     ExpressionCounts,
-    characteristic,
     count_partitions,
     count_shaped_partitions,
     is_refinement,
@@ -25,7 +24,10 @@ from utrees.partitions import (
 from utrees.trees import WeightedTree, centroids, relabel
 
 from helpers import (
+    ConnectedPartition,
     brute_subset_sum,
+    characteristic,
+    encodable_trees,
     path,
     sorted_pairs_text,
     star,
@@ -126,6 +128,47 @@ def test_dp_table_matches_brute(t, rng):
             checked = Expression(e.parts)
             assert e == checked and hash(e) == hash(checked)
             assert count_partitions(u, Expression.of(reversed(e.parts))) == count
+
+
+def _assert_dp_is_brute(t: WeightedTree):
+    dp, brute = u_polynomial(t), u_polynomial(t, "brute")
+    assert dp.counts == brute.counts
+    assert dp.canonical_text() == brute.canonical_text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weighted_trees(max_n=10, max_weight=1),
+    st.lists(st.sampled_from([1, 2, 2**40, 2**40 + 1, 3 * 2**41, 2**62 - 1]), min_size=10, max_size=10),
+)
+def test_dp_matches_brute_on_huge_weights(shape, weights):
+    # fields go only to weights that close, so keys stay short although
+    # w(T) passes 2^40
+    _assert_dp_is_brute(WeightedTree(shape.n, shape.edges, tuple(weights[: shape.n])))
+
+
+@settings(max_examples=15, deadline=None)
+@given(encodable_trees(max_n=5))
+def test_dp_matches_brute_on_encoded_trees(t):
+    _assert_dp_is_brute(good_encode(t).t_prime)
+
+
+def test_dp_matches_brute_on_unit_stars_and_brooms():
+    # the n singletons fill the weight-1 field; its width changes as n
+    # passes each power of two
+    for n in range(1, 17):
+        _assert_dp_is_brute(star(*([1] * n)))
+    for n, handle in ((8, 3), (12, 5), (16, 6)):
+        edges = tuple((i, i + 1) for i in range(handle - 1))
+        edges += tuple((handle - 1, v) for v in range(handle, n))
+        _assert_dp_is_brute(WeightedTree(n, edges, (1,) * n))
+
+
+def test_dp_matches_brute_on_one_and_two_vertices():
+    for w in (1, 5, 2**40, 2**62 + 3):
+        _assert_dp_is_brute(WeightedTree(1, (), (w,)))
+        for u in (1, w, 2**41):
+            _assert_dp_is_brute(path(w, u))
 
 
 def test_canonical_text_sorts_parts_as_integers():

@@ -20,6 +20,7 @@ from utrees.trees import (
     SideIndex,
     WeightedTree,
     alpha_vector,
+    centroids,
     code_to_rooted_tree,
     free_code,
     hang_count,
@@ -115,6 +116,30 @@ def test_rooted_code_distinguishes_roots():
     end = rooted_code(rooted(p3, 0))
     assert centre != end
     assert not brute_rooted_isomorphic(rooted(p3, 1), rooted(p3, 0))
+
+
+def _largest_component_without(t: WeightedTree, v: int) -> int:
+    largest = 0
+    seen = {v}
+    for s in t.adjacency[v]:
+        seen.add(s)
+        comp = [s]
+        for u in comp:
+            for x in t.adjacency[u]:
+                if x not in seen:
+                    seen.add(x)
+                    comp.append(x)
+        largest = max(largest, len(comp))
+    return largest
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_trees(max_n=14, max_weight=1), st.randoms(use_true_random=False))
+def test_centroids_minimize_the_largest_component(t, rng):
+    for u in (t, random_relabeling(t, rng)):
+        largest = [_largest_component_without(u, v) for v in range(u.n)]
+        assert centroids(u) == [v for v in range(u.n) if largest[v] == min(largest)]
+    assert centroids(WeightedTree(1, (), (4,))) == [0]
 
 
 def test_free_code_star_relabelings():
