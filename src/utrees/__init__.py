@@ -42,14 +42,10 @@ from .shapecount import (
 )
 from .situations import (
     WHOLE_TREE,
-    ContainmentForest,
     ContainmentTable,
     Situation,
-    build_containment_forest,
     build_containment_table,
-    count_forest_assignments,
     enumerate_situations,
-    occurrences_by_enumeration,
     occurrences_by_inclusion_exclusion,
 )
 from .trees import (

@@ -2,11 +2,11 @@
 
 A j-partition designates one part of weight w(T)-j.  The non-shaped count
 comes from situations: a non-shaped designated part hangs its complement as
-a situation occurrence.  Contract that part to one vertex of weight w(T)-j
-with the occurrence's components hung from it: when the j-side has two or
-more parts, the contracted vertex is a part on its own, so the contracted
-tree's U-table entry for the expression counts the ways the j-side splits
-over the components.  The shaped count is the designated total minus the
+a situation occurrence, and the j-side splits over the occurrence's
+components.  Each occurring situation of weight j is read once per
+containment table: its occurrence count, its symmetry factor, and the
+product of its components' U-tables, whose entry for the j-side counts
+those splits.  The shaped count is the designated total minus the
 non-shaped count, and must match direct enumeration exactly.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import factorial, prod
 from typing import Mapping
 
 from .errors import InternalInconsistencyError, ReconstructionError, TreeInputError
@@ -22,10 +21,8 @@ from .partitions import Expression, is_refinement
 from .situations import (
     WHOLE_TREE,
     ContainmentTable,
-    Situation,
     _sorted_classes,
     _table,
-    occurrences_by_inclusion_exclusion,
 )
 from .trees import (
     CanonicalCode,
@@ -55,40 +52,32 @@ def _table_for(t: WeightedTree, j: int, tbl: ContainmentTable | None) -> Contain
     return _table(idx, _sorted_classes(idx, {c for _, _, c in idx.sides if idx.weight[c] < j}))
 
 
-def _symmetry_factor(s: Situation) -> int:
-    return prod(map(factorial, map(s.codes.count, set(s.codes))))
-
-
 def nonshaped_count(
     t: WeightedTree, j: int, e: Expression, tbl: ContainmentTable | None = None
 ) -> int:
     """Designated j-partitions of characteristic e whose marked part is not
     a full edge side.
 
-    Each situation occurrence contributes the contracted tree's count of e:
-    a vertex of weight w(T)-j with the situation's components hung from it,
-    read through the table's U-table memo under its rooted code.  Every
-    component weighs less than j, so a one-part j-side cannot split over
-    them, and the count is 0.
+    Each situation of weight j that occurs adds m * splits[side] / sym, as
+    `ContainmentTable.occurring_of` lists them.  splits[side] is the
+    contracted tree's count of e (the marked part shrunk to one vertex of
+    weight w(T)-j, the components hung from it): each part of a j-side of
+    two or more parts weighs at most j-1 < w(T)-j+1, so every edge at that
+    vertex is cut.  Every component weighs less than j, so a one-part
+    j-side cannot split over them, and the count is 0.
     """
     side = _prepare(t, j, e)
     tbl = _table_for(t, j, tbl)
     if len(side) < 2:
         return 0
     total = 0
-    for s in tbl.situations_of(j):
-        m = occurrences_by_inclusion_exclusion(t, s, tbl)
-        if m == 0:
-            continue
-        kids = (c.code for c in sorted(s.codes))
-        contracted = CanonicalCode(tuple(chain((t.total_weight - j, s.size), *kids)))
-        d = tbl.u_table(contracted).get(e, 0)
-        sym = _symmetry_factor(s)
-        if (m * d) % sym:
+    for m, sym, splits in tbl.occurring_of(j):
+        d = m * splits.get(side, 0)
+        if d % sym:
             raise InternalInconsistencyError(
                 "ordered occurrence total is not divisible by the symmetry factor"
             )
-        total += m * d // sym
+        total += d // sym
     return total
 
 

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterator
 
 from hypothesis import strategies as st
 
 from utrees.embedding import BitCode, _leaf_code, _vertex_code
-from utrees.errors import TreeInputError
+from utrees.errors import InternalInconsistencyError, TreeInputError
 from utrees.generate import free_trees, random_weighted_tree
 from utrees.partitions import (
     Expression,
@@ -21,14 +21,19 @@ from utrees.partitions import (
 )
 from utrees.situations import (
     WHOLE_TREE,
-    ContainmentForest,
     ContainmentTable,
     Situation,
-    _feasible_pairs,
-    build_containment_forest,
-    count_forest_assignments,
+    _weight_bound_ok,
+    build_containment_table,
 )
-from utrees.trees import Edge, RootedWeightedTree, WeightedTree
+from utrees.trees import (
+    CanonicalCode,
+    Edge,
+    RootedWeightedTree,
+    WeightedTree,
+    hanging_subtrees,
+    rooted_code,
+)
 
 
 @dataclass(frozen=True)
@@ -291,6 +296,219 @@ def sorted_pairs_text(u: ExpressionCounts) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The paper's oracles for occurrence counts, kept out of the package: direct
+# enumeration, and its W1-W3 construction (forced-containment pairs, cycle
+# contraction, transitive reduction) with the product recursion over the
+# arborescence forest it leaves.  `occurrences_by_all_pair_sets` sums the
+# latter over every pair set.
+def _assert_nested_or_disjoint(a: frozenset[int], b: frozenset[int]):
+    if not (a <= b or b <= a or not (a & b)):
+        raise InternalInconsistencyError(
+            "hanging subtrees below half weight must nest or be disjoint"
+        )
+
+
+def _complement_connected(t: WeightedTree, used: frozenset[int]) -> bool:
+    rest = [v for v in range(t.n) if v not in used]
+    if not rest:
+        return False
+    seen = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        v = stack.pop()
+        for u in t.adjacency[v]:
+            if u not in used and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) == len(rest)
+
+
+def occurrences_by_enumeration(t: WeightedTree, s: Situation) -> int:
+    """Oracle count of ordered occurrences, by direct enumeration.
+
+    Tuples of mutually disjoint hanging subtrees matching the components
+    (so pairwise distinct, none containing another), with connected
+    complement.  Slots are filled one at a time, each only with sides
+    disjoint from those already chosen.  The below-half dichotomy (nested or
+    disjoint) is asserted up front on every pair of candidates for two
+    different slots.
+    """
+    if not _weight_bound_ok(s.total_weight, t.total_weight):
+        raise TreeInputError("situation weight exceeds half of the tree weight")
+    hangs = hanging_subtrees(t)
+    candidates = [[h.vertices for h in hangs if rooted_code(h.component) == code] for code in s.codes]
+    for first, second in combinations(candidates, 2):
+        for a, b in product(first, second):
+            _assert_nested_or_disjoint(a, b)
+    total = 0
+    stack = [(0, frozenset())]
+    while stack:
+        slot, used = stack.pop()
+        if slot == len(candidates):
+            total += _complement_connected(t, used)
+            continue
+        for side in candidates[slot]:
+            if not side & used:
+                stack.append((slot + 1, used | side))
+    return total
+
+
+@dataclass(frozen=True)
+class ContainmentForest:
+    """Labeled digraph over component indices, as the W3 stage leaves it.
+
+    Labels partition the component index set; all components sharing a label
+    are isomorphic; the graph is an arborescence forest (acyclic, out-degree
+    at most one).
+    """
+
+    labels: tuple[frozenset[int], ...]
+    classes: tuple[CanonicalCode, ...]
+    arcs: frozenset[tuple[int, int]]
+
+    def validate(self, situation: Situation | None = None):
+        seen: set[int] = set()
+        for lab in self.labels:
+            if not lab or lab & seen:
+                raise InternalInconsistencyError("labels must partition the index set")
+            seen |= lab
+        if situation is not None:
+            if seen != set(range(situation.size)):
+                raise InternalInconsistencyError("labels must cover all components")
+            for lab, cls in zip(self.labels, self.classes):
+                if any(situation.codes[i] != cls for i in lab):
+                    raise InternalInconsistencyError("label merges non-isomorphic components")
+        for x, y in self.arcs:
+            if not (0 <= x < len(self.labels) and 0 <= y < len(self.labels)) or x == y:
+                raise InternalInconsistencyError("arc endpoints out of range")
+        out: dict[int, int] = {}
+        for x, y in self.arcs:
+            if x in out:
+                raise InternalInconsistencyError("out-degree above one in a containment forest")
+            out[x] = y
+        for x in range(len(self.labels)):
+            cur, seen_path = x, set()
+            while cur in out:
+                if cur in seen_path:
+                    raise InternalInconsistencyError("cycle in a containment forest")
+                seen_path.add(cur)
+                cur = out[cur]
+
+    def canonical_key(self):
+        order = sorted(range(len(self.labels)), key=lambda i: sorted(self.labels[i]))
+        pos = {old: new for new, old in enumerate(order)}
+        labs = tuple(tuple(sorted(self.labels[i])) for i in order)
+        arcs = tuple(sorted((pos[x], pos[y]) for x, y in self.arcs))
+        return labs, arcs
+
+
+def _feasible_pairs(tbl: ContainmentTable, codes) -> tuple[tuple[int, int], ...]:
+    """Ordered index pairs (i, j), i != j, whose class i sits inside class j."""
+    ids = range(len(codes))
+    return tuple(
+        (i, j) for i in ids for j in ids if i != j and tbl.count(codes[i], codes[j]) > 0
+    )
+
+
+def build_containment_forest(
+    f, s: Situation, feasible_pairs: frozenset[tuple[int, int]] | None = None
+) -> ContainmentForest | None:
+    """Run the four-stage pipeline for one pair set; None if it forces nothing.
+
+    Starts from one node per component with the given arcs, saturates common
+    sources by vertex-count comparison, contracts directed cycles, and strips
+    transitive arcs.  Returns None (the empty intersection) when a required
+    containment is impossible for the component classes.  `feasible_pairs`
+    holds the ordered index pairs (i, j) whose class i can sit inside class j,
+    as read from a containment table; without it they are read from the
+    table of the components themselves, since class-in-class counts do not
+    depend on the host tree.
+    """
+    t = s.size
+    arcs = set(f)
+    for i, j in arcs:
+        if not (0 <= i < t and 0 <= j < t) or i == j:
+            raise TreeInputError(f"bad index pair ({i}, {j})")
+    if feasible_pairs is None:
+        comps = s.components
+        tbl = build_containment_table(comps[0].tree, comps)
+        feasible_pairs = frozenset(_feasible_pairs(tbl, s.codes))
+    if not arcs <= feasible_pairs:
+        return None
+
+    # W1: if (x,y) and (x,z) are arcs and y,z unrelated, the smaller side
+    # must sit inside the larger; infeasible forced arcs kill the whole set.
+    # A rooted code holds two ints per vertex, so code lengths order sizes.
+    size = [len(c.code) for c in s.codes]
+    changed = True
+    while changed:
+        changed = False
+        for x in range(t):
+            outs = [y for (a, y) in arcs if a == x]
+            for y, z in combinations(outs, 2):
+                if (y, z) in arcs or (z, y) in arcs:
+                    continue
+                for a, b in ((y, z), (z, y)):
+                    if size[a] <= size[b]:
+                        if (a, b) not in feasible_pairs:
+                            return None
+                        arcs.add((a, b))
+                        changed = True
+
+    # W2: contract directed cycles.  reach[i] is every index i reaches; a
+    # group is led by its least member, so groups keep index order.
+    reach = [{i} | {b for a, b in arcs if a == i} for i in range(t)]
+    for k in range(t):
+        for i in range(t):
+            if k in reach[i]:
+                reach[i] |= reach[k]
+    lead = [min(j for j in reach[i] if i in reach[j]) for i in range(t)]
+    leaders = sorted(set(lead))
+    group = [leaders.index(g) for g in lead]
+
+    # W3: transitive reduction of the condensation: an arc goes when a third
+    # group lies between its ends
+    def between(x: int, y: int) -> bool:
+        lx, ly = leaders[x], leaders[y]
+        return any(group[z] not in (x, y) and ly in reach[z] for z in reach[lx])
+
+    merged = {(group[a], group[b]) for a, b in arcs if group[a] != group[b]}
+    forest = ContainmentForest(
+        tuple(frozenset(i for i in range(t) if lead[i] == g) for g in leaders),
+        tuple(s.codes[g] for g in leaders),
+        frozenset((x, y) for x, y in merged if not between(x, y)),
+    )
+    forest.validate(s)
+    return forest
+
+
+def count_forest_assignments(host, forest: ContainmentForest, tbl: ContainmentTable) -> int:
+    """Tuples assigning a hanging subtree of the host to each forest node.
+
+    Nodes with equal labels share one assignment; an arc (x, y) requires the
+    subtree at x to sit inside the one at y.  The empty forest counts one.
+    Host is a rooted component class, or WHOLE_TREE for the full input tree.
+    """
+    host_key = rooted_code(host) if isinstance(host, RootedWeightedTree) else host
+    if host_key is not WHOLE_TREE and not isinstance(host_key, CanonicalCode):
+        raise TreeInputError(f"bad host {host!r}")
+    # each root's class is counted in the host, and the nodes right below it
+    # are assigned inside that class, and so on
+    classes = forest.classes
+    parents = dict(forest.arcs)
+    below: dict[int | None, list[int]] = {}
+    for x in range(len(classes)):
+        below.setdefault(parents.get(x), []).append(x)
+
+    def count(nodes, host) -> int:
+        total = 1
+        for x in nodes:
+            total *= tbl.count(classes[x], host) * count(below.get(x, ()), classes[x])
+        return total
+
+    return count(below.get(None, ()), host_key)
+
+
 def pattern_key(s, feasible_pairs) -> tuple:
     """Everything of s that the forest pipeline reads, as small ints.
 
@@ -349,7 +567,7 @@ def occurrences_by_all_pair_sets(s, tbl) -> int:
 
 # The ways the j-side of an expression splits over a situation's components,
 # counted by a sub-multiset search over the components' own U-tables: the
-# oracle for the contracted tree's U-table entry in `nonshaped_count`.
+# oracle for the split tables that `nonshaped_count` reads.
 def _remove_indices(items: tuple[int, ...], chosen: tuple[int, ...]) -> tuple[int, ...]:
     picked = set(chosen)
     return tuple(items[i] for i in range(len(items)) if i not in picked)

@@ -32,19 +32,27 @@ from utrees.shapecount import (
 )
 from utrees.situations import (
     WHOLE_TREE,
-    ContainmentForest,
     Situation,
-    build_containment_forest,
     build_containment_table,
-    count_forest_assignments,
     enumerate_situations,
     hanging_classes,
-    occurrences_by_enumeration,
     occurrences_by_inclusion_exclusion,
 )
 from utrees.trees import isomorphic, rooted_code
 
-from helpers import brute_sides, cut_side, path, rooted, situation_corpus, spider, star
+from helpers import (
+    ContainmentForest,
+    brute_sides,
+    build_containment_forest,
+    count_forest_assignments,
+    cut_side,
+    occurrences_by_enumeration,
+    path,
+    rooted,
+    situation_corpus,
+    spider,
+    star,
+)
 
 
 def _report(num: int, ok: bool, desc: str):

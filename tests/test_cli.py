@@ -129,7 +129,7 @@ def test_count_with_oracle(tmp_path, capsys):
 
 def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
     # one side index, one non-shaped sum, and U-tables for the tree and the
-    # contracted tree of its one situation that occurs
+    # component classes 1 and 1(1) of its one situation that occurs
     made = {"indexes": 0, "dps": 0, "nonshaped": 0}
     init, dp = trees.SideIndex.__init__, partitions._u_table_dp
     nonshaped = shapecount.nonshaped_count
@@ -152,7 +152,7 @@ def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
     f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
     assert main(["count", f, "--j", "3", "--expr", "2,2,1"]) == 0
     assert capsys.readouterr().out == "partitions=6\nnon-shaped=2\nshaped=4\n"
-    assert made == {"indexes": 1, "dps": 2, "nonshaped": 1}
+    assert made == {"indexes": 1, "dps": 3, "nonshaped": 1}
 
 
 def test_situations_and_m_count(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from utrees.errors import ReconstructionError, TreeInputError
 from utrees.generate import free_trees, random_relabeling, random_weighted_tree
+from utrees import partitions, situations
 from utrees.partitions import (
     Expression,
     count_partitions,
@@ -16,7 +17,6 @@ from utrees.partitions import (
 )
 from utrees.shapecount import (
     ShapeCensus,
-    _symmetry_factor,
     analyze_expression,
     nonshaped_count,
     reconstruct_from_census,
@@ -26,6 +26,7 @@ from utrees.shapecount import (
 from utrees.embedding import good_encode
 from utrees.situations import (
     Situation,
+    _symmetry_factor,
     build_containment_table,
     hanging_classes,
     occurrences_by_inclusion_exclusion,
@@ -34,6 +35,7 @@ from utrees.trees import WeightedTree, isomorphic, rooted_code
 
 from helpers import (
     _decomposition_sum,
+    occurrences_by_enumeration,
     path,
     rooted,
     situation_corpus,
@@ -308,25 +310,61 @@ def _hang_from(center_weight, branches):
 @settings(max_examples=40, deadline=None)
 @given(weighted_trees(max_n=7, max_weight=3), st.randoms(use_true_random=False))
 def test_contracted_tree_counts_the_splits_over_components(t, rng):
-    # for every situation and every j-side of two or more parts, the
-    # contracted tree's U-table entry, read through the table's memo under
-    # its rooted code, is the sub-multiset search over the components'
-    # U-tables; summed over occurrences it is the non-shaped count, which a
-    # one-part j-side leaves at 0
+    # the table's memo lists the occurring situations of each weight in
+    # enumeration order; for every j-side of two or more parts, an entry's
+    # split count is the contracted tree's U-table entry (a vertex of weight
+    # w - j with the components hung from it) and the sub-multiset search
+    # over the components' U-tables; summed over occurrences it is the
+    # non-shaped count, which a one-part j-side leaves at 0
     w = t.total_weight
     for tree in (t, random_relabeling(t, rng)):
         tbl = build_containment_table(tree, hanging_classes(tree))
         for j in range(1, (w + 1) // 2 + 1):
-            expected = {}
+            occurring = []
             for s in tbl.situations_of(j):
                 m = occurrences_by_inclusion_exclusion(tree, s, tbl)
-                table = tbl.u_table(rooted_code(rooted(_hang_from(w - j, s.components), 0)))
+                if m:
+                    occurring.append((s, m))
+            entries = tbl.occurring_of(j)
+            assert [(m, sym) for m, sym, _ in entries] == [(m, _symmetry_factor(s)) for s, m in occurring]
+            expected = {}
+            for (s, m), (_, sym, splits) in zip(occurring, entries):
+                contracted = u_polynomial(_hang_from(w - j, s.components)).counts
                 for side in _partitions(j, j):
                     e = E(w - j, *side)
                     d = _decomposition_sum(s, side, tbl)
                     if len(side) >= 2:
-                        assert table.get(e, 0) == d, (tree, j, s, e)
-                    expected[e] = expected.get(e, 0) + m * d // _symmetry_factor(s)
+                        assert splits.get(side, 0) == contracted.get(e, 0) == d, (tree, j, s, e)
+                    expected[e] = expected.get(e, 0) + m * d // sym
             for side in _partitions(j, j):
                 e = E(w - j, *side)
                 assert nonshaped_count(tree, j, e, tbl) == expected.get(e, 0), (tree, j, e)
+
+
+def test_each_situation_and_class_table_is_built_once(monkeypatch):
+    # every j-expression of one tree at one j: one occurrence product per
+    # situation, and one U-table DP for the tree and for each distinct
+    # component class of the situations that occur
+    t = random_weighted_tree(9, 2, random.Random(19))
+    w, j = t.total_weight, 7
+    calls = {"ie": 0, "dps": 0}
+    ie, dp = situations.occurrences_by_inclusion_exclusion, partitions._u_table_dp
+
+    def counted_ie(*args):
+        calls["ie"] += 1
+        return ie(*args)
+
+    def counted_dp(tree):
+        calls["dps"] += 1
+        return dp(tree)
+
+    tbl = build_containment_table(t, hanging_classes(t))
+    sits = tbl.situations_of(j)
+    classes = {c for s in sits if occurrences_by_enumeration(t, s) for c in s.codes}
+    expressions = [e for e in u_polynomial(t).counts if e.is_j_expression(j, w)]
+    monkeypatch.setattr(situations, "occurrences_by_inclusion_exclusion", counted_ie)
+    monkeypatch.setattr(partitions, "_u_table_dp", counted_dp)
+    got = {e: shaped_count(t, j, e, tbl) for e in expressions}
+    assert got == {e: count_shaped_partitions(t, j, e) for e in expressions}
+    assert any(len(e.parts) > 2 for e in expressions) and len(classes) >= 2
+    assert calls == {"ie": len(sits), "dps": 1 + len(classes)}

@@ -14,25 +14,25 @@ from utrees.errors import (
 from utrees.generate import free_trees, random_relabeling, random_weighted_tree
 from utrees.situations import (
     WHOLE_TREE,
-    ContainmentForest,
     Situation,
-    _feasible_pairs,
-    build_containment_forest,
     build_containment_table,
-    count_forest_assignments,
     enumerate_situations,
     hanging_classes,
-    occurrences_by_enumeration,
     occurrences_by_inclusion_exclusion,
 )
 from utrees.trees import WeightedTree, hanging_subtrees, rooted_code
 
 from helpers import (
+    ContainmentForest,
+    _feasible_pairs,
     brute_hang_count,
     brute_rooted_isomorphic,
     brute_sides,
+    build_containment_forest,
+    count_forest_assignments,
     cut_side,
     occurrences_by_all_pair_sets,
+    occurrences_by_enumeration,
     path,
     rooted,
     spider,
