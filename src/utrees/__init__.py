@@ -56,12 +56,10 @@ from .trees import (
     WeightedTree,
     alpha_vector,
     free_code,
-    hang_count,
     hanging_subtrees,
     isomorphic,
     render_code,
     rooted_code,
-    shape_count,
     shapes,
 )
 

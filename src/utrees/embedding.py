@@ -59,10 +59,13 @@ _BIT1 = BitCode(1, 1)
 
 
 def _concat(parts: list[BitCode]) -> BitCode:
-    out = BitCode(0, 0)
+    """The parts one after another, shifted together in one pass; only the
+    result is built (and checked) as a BitCode."""
+    value = length = 0
     for p in parts:
-        out = out.concat(p)
-    return out
+        value = value << p.length | p.value
+        length += p.length
+    return BitCode(value, length)
 
 
 def _sort_key(c: BitCode):
@@ -341,44 +344,72 @@ def check_good(trees) -> GoodSetReport:
     Property three: across the whole set, two shapes with equal vertex-weight
     multisets are rooted-isomorphic whenever at least one of them weighs at
     most half of its own tree.
-    """
-    trees = list(trees)
-    reports = []
-    for idx, t in enumerate(trees):
-        is_leaf = [t.degree(v) == 1 for v in range(t.n)]
-        s_ok, s_wit = True, None
-        w_ok, w_wit = True, None
-        for v in range(t.n):
-            near_leaf = any(is_leaf[u] for u in t.adjacency[v])
-            if near_leaf:
-                non_leaf = sum(1 for u in t.adjacency[v] if not is_leaf[u])
-                if non_leaf > 1 and s_ok:
-                    s_ok, s_wit = False, v
-            if (is_leaf[v] or near_leaf) and t.weights[v] != 1 and w_ok:
-                w_ok, w_wit = False, v
-        reports.append(TreePropertyReport(idx, s_ok, s_wit, w_ok, w_wit))
 
-    buckets: dict[tuple[int, ...], list[tuple[int, CanonicalCode, bool]]] = {}
+    Property three is decided on one class table for the whole set: each
+    tree's SideIndex classes are interned again as (root weight, sorted
+    child ids) of that table (AHU), so equal ids are rooted-isomorphic
+    across trees.  Equal weight multisets need equal vertex count and
+    weight, so shapes are grouped by those two, and multisets and codes
+    are read only in a group that holds two classes or more.
+    """
+    reports = []
+    # per class of the set: its first shape and its first restricted one, as
+    # (tree, place among the tree's shapes, the shape's (edge, root, id))
+    ids: dict[tuple[int, tuple[int, ...]], int] = {}
+    indexes = []
+    first: dict[int, tuple] = {}
+    first_restricted: dict[int, tuple] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
     for i, t in enumerate(trees):
-        half = t.total_weight
+        adj = t.adjacency
+        leaves = [v for v in range(t.n) if len(adj[v]) == 1]
+        near = {adj[h][0] for h in leaves}
+        s_wit = min((v for v in near if sum(len(adj[u]) > 1 for u in adj[v]) > 1), default=None)
+        w_wit = min((v for v in near.union(leaves) if t.weights[v] != 1), default=None)
+        reports.append(TreePropertyReport(i, s_wit is None, s_wit, w_wit is None, w_wit))
+
         idx = SideIndex(t)
-        for _, _, c in idx.shapes():
-            code = idx.code(c)
-            key = tuple(sorted(code.code[0::2]))
-            restricted = 2 * idx.weight[c] <= half
-            buckets.setdefault(key, []).append((i, code, restricted))
-    # in a bucket of two or more codes every entry has a partner with another
-    # code, so the witness is the first restricted entry and its first partner
-    for key in sorted(buckets):
-        entries = buckets[key]
-        a = next((e for e in entries if e[2]), None)
-        if a is None:
+        indexes.append(idx)
+        batch_id = []
+        for weight, kids in idx.keys:
+            key = (weight, tuple(sorted([batch_id[k] for k in kids])))
+            batch_id.append(ids.setdefault(key, len(ids)))
+        half = t.total_weight
+        for place, side in enumerate(idx.shapes()):
+            c = side[2]
+            g = batch_id[c]
+            if g not in first:
+                first[g] = (i, place, side)
+                groups.setdefault((idx.size[c], idx.weight[c]), []).append(g)
+            if g not in first_restricted and 2 * idx.weight[c] <= half:
+                first_restricted[g] = (i, place, side)
+
+    # a bucket of equal weight multisets with two classes or more is a
+    # violation when it holds a restricted shape: the witness is its first
+    # restricted shape and the first shape of another class; the bucket
+    # with the least multiset is reported
+    found = None
+    for classes in groups.values():
+        if len(classes) < 2:
             continue
-        b = next((e for e in entries if e[1] != a[1]), None)
-        if b is not None:
-            violation = ShapeMatchViolation(a[0], b[0], key, a[1], b[1])
-            return GoodSetReport(tuple(reports), violation)
-    return GoodSetReport(tuple(reports), None)
+        buckets: dict[tuple[int, ...], list[int]] = {}
+        for g in classes:
+            i, _, (e, r, _) = first[g]
+            weights = indexes[i].tree.weights
+            multiset = tuple(sorted([weights[v] for v in indexes[i].vertices(e, r)]))
+            buckets.setdefault(multiset, []).append(g)
+        for key, bucket in buckets.items():
+            restricted = [(first_restricted[g], g) for g in bucket if g in first_restricted]
+            if len(bucket) < 2 or not restricted or (found and found[0] <= key):
+                continue
+            a, ga = min(restricted)
+            b = min(first[g] for g in bucket if g != ga)
+            found = (key, a, b)
+    if found is None:
+        return GoodSetReport(tuple(reports), None)
+    key, (ta, _, (_, _, ca)), (tb, _, (_, _, cb)) = found
+    code_a, code_b = indexes[ta].code(ca), indexes[tb].code(cb)
+    return GoodSetReport(tuple(reports), ShapeMatchViolation(ta, tb, key, code_a, code_b))
 
 
 def embedding_isomorphic(a: GoodEmbedding, b: GoodEmbedding) -> bool:

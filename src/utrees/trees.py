@@ -334,9 +334,10 @@ class SideIndex:
 
     `sides` lists (edge, root, class id) for both sides of every edge, in the
     order of hanging_subtrees.  Per class, `keys`, `size` and `weight` hold
-    the key, the vertex count and the total weight.  Canonical codes, texts
-    and representatives are made on request and kept on the index; a
-    representative's tree waits until it is read (see rep).
+    the key, the vertex count and the total weight; the walks measure the
+    last two as they intern, so no class sums its children's.  Canonical
+    codes, texts and representatives are made on request and kept on the
+    index; a representative's tree waits until it is read (see rep).
     """
 
     def __init__(self, tree: WeightedTree):
@@ -357,41 +358,60 @@ class SideIndex:
         kids: list[list[int]] = [[] for _ in pre]
         for v in pre[1:]:
             kids[parent[v]].append(v)
-        # up[v]: the side of (parent[v], v) that holds the parent, rooted there
-        up = [0] * tree.n
+        # up[v]: the side of (parent[v], v) that holds the parent, rooted
+        # there; it is the rest of the tree, so its vertex count and weight
+        # are the tree's less those of the side below v
+        n, total = tree.n, tree.total_weight
+        size, weight = self.size, self.weight
+        up = [0] * n
         for p in pre:
+            if not kids[p]:
+                continue
             nbrs = sorted([down[c] for c in kids[p]] + ([up[p]] if p else []))
             made: dict[int, int] = {}
             for c in kids[p]:
-                if down[c] not in made:
-                    i = bisect_left(nbrs, down[c])
-                    made[down[c]] = self._intern(tree.weights[p], tuple(nbrs[:i] + nbrs[i + 1 :]))
-                up[c] = made[down[c]]
+                d = down[c]
+                if d not in made:
+                    i = bisect_left(nbrs, d)
+                    key = (tree.weights[p], tuple(nbrs[:i] + nbrs[i + 1 :]))
+                    made[d] = self._intern(key, n - size[d], total - weight[d])
+                up[c] = made[d]
         sides = []
         for e in tree.edges:
-            low = e[1] if parent[e[1]] == e[0] else e[0]
-            sides += [(e, r, down[r] if r == low else up[low]) for r in e]
+            u, v = e
+            if parent[v] == u:
+                sides += ((e, u, up[v]), (e, v, down[v]))
+            else:
+                sides += ((e, u, down[u]), (e, v, up[u]))
         self.sides: tuple[tuple[Edge, int, int], ...] = tuple(sides)
 
-    def _intern(self, weight: int, kids: tuple[int, ...]) -> int:
-        key = (weight, kids)
-        if key not in self._ids:
-            self._ids[key] = len(self.keys)
+    def _intern(self, key: tuple[int, tuple[int, ...]], size: int, weight: int) -> int:
+        """Id of the class `key`; a new class records the vertex count and
+        weight that the caller's walk measured for it."""
+        cid = self._ids.get(key)
+        if cid is None:
+            cid = self._ids[key] = len(self.keys)
             self.keys.append(key)
-            self.size.append(1 + sum(self.size[k] for k in kids))
-            self.weight.append(weight + sum(self.weight[k] for k in kids))
-        return self._ids[key]
+            self.size.append(size)
+            self.weight.append(weight)
+        return cid
 
     def _down_pass(self, tree: WeightedTree, root: int):
         """Parent array, preorder, and the class of the subtree below each
-        vertex when the tree hangs from `root`."""
+        vertex when the tree hangs from `root`.  Each subtree's vertex count
+        and weight add up along the walk, children before parents."""
         parent, pre = _rooted_parent_order(tree, root)
         down = [0] * tree.n
+        size = [1] * tree.n
+        weight = list(tree.weights)
         below: list[list[int]] = [[] for _ in pre]
         for v in reversed(pre):
-            down[v] = self._intern(tree.weights[v], tuple(sorted(below[v])))
-            if v != root:
-                below[parent[v]].append(down[v])
+            down[v] = self._intern((tree.weights[v], tuple(sorted(below[v]))), size[v], weight[v])
+            p = parent[v]
+            if p >= 0:
+                below[p].append(down[v])
+                size[p] += size[v]
+                weight[p] += weight[v]
         return parent, pre, down
 
     def add(self, t: RootedWeightedTree) -> int:
@@ -493,25 +513,6 @@ def shapes(t: WeightedTree) -> tuple[HangingSubtree, ...]:
     """Hanging subtrees with between 2 and n-2 vertices."""
     idx = SideIndex(t)
     return _hanging(idx, idx.shapes())
-
-
-def shape_count(s: RootedWeightedTree, t: WeightedTree) -> int:
-    """How many shapes of t are rooted-isomorphic to s."""
-    idx = SideIndex(t)
-    target = idx.add(s)
-    return sum(1 for _, _, c in idx.shapes() if c == target)
-
-
-def hang_count(s: RootedWeightedTree, h: RootedWeightedTree) -> int:
-    """Copies of s hanging below h's root, counting h itself when s == h.
-
-    The hanging subtrees of h that avoid its root are exactly the downward
-    subtrees of its non-root vertices; the root's own entry is the equality
-    term.  Both are read off the index's `inside` counts of h's class.
-    """
-    idx = SideIndex(h.tree)
-    host = idx.add(h)
-    return idx.inside([host])[host][idx.add(s)]
 
 
 def alpha_vector(t: WeightedTree) -> tuple[int, ...]:

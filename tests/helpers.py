@@ -9,7 +9,14 @@ from typing import Iterator
 
 from hypothesis import strategies as st
 
-from utrees.embedding import BitCode, _leaf_code, _vertex_code
+from utrees.embedding import (
+    BitCode,
+    GoodSetReport,
+    ShapeMatchViolation,
+    TreePropertyReport,
+    _leaf_code,
+    _vertex_code,
+)
 from utrees.errors import InternalInconsistencyError, TreeInputError
 from utrees.generate import free_trees, random_weighted_tree
 from utrees.partitions import (
@@ -30,6 +37,7 @@ from utrees.trees import (
     CanonicalCode,
     Edge,
     RootedWeightedTree,
+    SideIndex,
     WeightedTree,
     hanging_subtrees,
     rooted_code,
@@ -257,6 +265,71 @@ def brute_hang_count(s: RootedWeightedTree, h: RootedWeightedTree) -> int:
         if h.root not in vertices and brute_rooted_isomorphic(s, cut_side(h.tree, vertices, root)):
             total += 1
     return total
+
+
+def shape_count(s: RootedWeightedTree, t: WeightedTree) -> int:
+    """How many shapes of t are rooted-isomorphic to s."""
+    idx = SideIndex(t)
+    target = idx.add(s)
+    return sum(1 for _, _, c in idx.shapes() if c == target)
+
+
+def hang_count(s: RootedWeightedTree, h: RootedWeightedTree) -> int:
+    """Copies of s hanging below h's root, counting h itself when s == h.
+
+    The hanging subtrees of h that avoid its root are exactly the downward
+    subtrees of its non-root vertices; the root's own entry is the equality
+    term.  Both are read off the index's `inside` counts of h's class.
+    """
+    idx = SideIndex(h.tree)
+    host = idx.add(h)
+    return idx.inside([host])[host][idx.add(s)]
+
+
+def check_good_by_buckets(trees) -> GoodSetReport:
+    """check_good by a scan of every vertex and a bucket of every shape.
+
+    Each shape's canonical code is built, and shapes are bucketed by the
+    sorted weights of their codes.  In a bucket of two or more codes every
+    entry has a partner with another code, so the witness is the first
+    restricted entry and its first partner; the least violating bucket is
+    reported.
+    """
+    trees = list(trees)
+    reports = []
+    for i, t in enumerate(trees):
+        is_leaf = [t.degree(v) == 1 for v in range(t.n)]
+        s_ok, s_wit = True, None
+        w_ok, w_wit = True, None
+        for v in range(t.n):
+            near_leaf = any(is_leaf[u] for u in t.adjacency[v])
+            if near_leaf:
+                non_leaf = sum(1 for u in t.adjacency[v] if not is_leaf[u])
+                if non_leaf > 1 and s_ok:
+                    s_ok, s_wit = False, v
+            if (is_leaf[v] or near_leaf) and t.weights[v] != 1 and w_ok:
+                w_ok, w_wit = False, v
+        reports.append(TreePropertyReport(i, s_ok, s_wit, w_ok, w_wit))
+
+    buckets: dict[tuple[int, ...], list[tuple[int, CanonicalCode, bool]]] = {}
+    for i, t in enumerate(trees):
+        half = t.total_weight
+        idx = SideIndex(t)
+        for _, _, c in idx.shapes():
+            code = idx.code(c)
+            key = tuple(sorted(code.code[0::2]))
+            restricted = 2 * idx.weight[c] <= half
+            buckets.setdefault(key, []).append((i, code, restricted))
+    for key in sorted(buckets):
+        entries = buckets[key]
+        a = next((e for e in entries if e[2]), None)
+        if a is None:
+            continue
+        b = next((e for e in entries if e[1] != a[1]), None)
+        if b is not None:
+            violation = ShapeMatchViolation(a[0], b[0], key, a[1], b[1])
+            return GoodSetReport(tuple(reports), violation)
+    return GoodSetReport(tuple(reports), None)
 
 
 def brute_subset_sum(t: WeightedTree, x: int, f) -> int:

@@ -1,12 +1,15 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from utrees.embedding import (
+    BitCode,
     GoodEmbedding,
     _coding_run,
+    _concat,
     check_good,
     embedding_isomorphic,
     good_decode,
@@ -14,9 +17,17 @@ from utrees.embedding import (
 )
 from utrees.errors import MalformedEmbeddingError, TreeInputError
 from utrees.generate import random_encodable_tree, random_relabeling
-from utrees.trees import WeightedTree, hanging_subtrees, isomorphic, render_code
+from utrees.trees import SideIndex, WeightedTree, hanging_subtrees, isomorphic, render_code
 
-from helpers import coding_run_by_scan, encodable_trees, path, spider, star
+from helpers import (
+    check_good_by_buckets,
+    coding_run_by_scan,
+    encodable_trees,
+    path,
+    spider,
+    star,
+    weighted_trees,
+)
 
 
 def test_encode_three_path_unit():
@@ -178,14 +189,19 @@ def test_check_good_structure_violation():
     assert tr.leaf_structure_witness == 0
 
 
-def test_check_good_shape_property_violation():
-    # two trees with equal-multiset but non-isomorphic half-weight shapes
-    a = path(1, 1, 1, 1, 1, 1, 1, 1)  # has a 3-path shape, weights {1,1,1}
-    b = WeightedTree(
+# two trees with equal-multiset but non-isomorphic half-weight shapes
+SHAPE_PAIR = (
+    path(1, 1, 1, 1, 1, 1, 1, 1),  # has a 3-path shape, weights {1,1,1}
+    WeightedTree(
         8,
         ((0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7)),
         (1,) * 8,
-    )  # has a star shape with weights {1,1,1}
+    ),  # has a star shape with weights {1,1,1}
+)
+
+
+def test_check_good_shape_property_violation():
+    a, b = SHAPE_PAIR
     report = check_good([a, b])
     assert report.shape_violation is not None
     # the witness is the bucket's first restricted shape and the first shape
@@ -194,3 +210,60 @@ def test_check_good_shape_property_violation():
         v = check_good(trees).shape_violation
         assert v.weights == (1, 1, 1)
         assert (v.tree_a, v.tree_b, render_code(v.code_a), render_code(v.code_b)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            encodable_trees(max_n=10).map(lambda t: good_encode(t).t_prime),
+            weighted_trees(max_n=8, max_weight=3),
+            st.sampled_from(SHAPE_PAIR),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_check_good_matches_the_bucket_oracle(batch):
+    report, oracle = check_good(batch), check_good_by_buckets(batch)
+    assert report.ok == oracle.ok
+    assert report.trees == oracle.trees
+    v, w = report.shape_violation, oracle.shape_violation
+    if w is None:
+        assert v is None
+    else:
+        assert (v.tree_a, v.tree_b, v.weights) == (w.tree_a, w.tree_b, w.weights)
+        assert (v.code_a, v.code_b) == (w.code_a, w.code_b)
+    assert report == oracle
+
+
+def test_check_good_reads_one_class_table_across_trees():
+    # the unit leaf's class is interned first in the unit path but only on
+    # the up pass in the other, so shared shapes have other ids in each index
+    batch = [path(1, 1, 1, 1, 1, 1), path(1, 1, 1, 1, 1, 2)]
+    ids = []
+    for t in batch:
+        idx = SideIndex(t)
+        ids.append({idx.code(c): c for _, _, c in idx.shapes()})
+    shared = ids[0].keys() & ids[1].keys()
+    assert shared and any(ids[0][code] != ids[1][code] for code in shared)
+    report = check_good(batch)
+    assert report.shape_violation is None
+    assert report == check_good_by_buckets(batch)
+
+
+@st.composite
+def bit_codes(draw):
+    # short codes, codes with leading zeros, and codes wider than 64 bits
+    length = draw(st.sampled_from([0, 1, 2, 7, 64, 65, 130]))
+    value = draw(st.integers(0, 2**length - 1)) >> draw(st.integers(0, length))
+    return BitCode(value, length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(bit_codes(), max_size=8))
+def test_concat_is_the_left_fold_of_concat(parts):
+    want = reduce(BitCode.concat, parts, BitCode(0, 0))
+    got = _concat(parts)
+    assert type(got) is BitCode and got == want
+    assert got.bits() == "".join(p.bits() for p in parts)

@@ -38,6 +38,7 @@ from helpers import (
     occurrences_by_enumeration,
     path,
     rooted,
+    shape_count,
     situation_corpus,
     star,
     weighted_trees,
@@ -153,8 +154,6 @@ def test_minimal_links_to_census_count():
     three_path_code = rooted_code(rooted(path(1, 1, 1), 0))
     assert census.entries.get(three_path_code, 0) == 0  # weight 3 > 5/2
     # the identity holds against the unrestricted shape count
-    from utrees.trees import shape_count
-
     assert shaped_count(FIVE, 3, E(2, 1, 1, 1)) == shape_count(
         rooted(path(1, 1, 1), 0), FIVE
     )

@@ -22,6 +22,7 @@ from utrees.situations import (
 )
 from utrees.trees import WeightedTree, hanging_subtrees, rooted_code
 
+import helpers
 from helpers import (
     ContainmentForest,
     _feasible_pairs,
@@ -287,7 +288,7 @@ def test_table_route_makes_no_hang_count_call(monkeypatch):
     def forbidden(*args):
         raise AssertionError("hang_count called or a tree built on the table route")
 
-    monkeypatch.setattr("utrees.trees.hang_count", forbidden)
+    monkeypatch.setattr(helpers, "hang_count", forbidden)
     monkeypatch.setattr(situations, "code_to_rooted_tree", forbidden)
     assert occurrences_by_inclusion_exclusion(sp, s, tbl) == occurrences_by_enumeration(sp, s)
 

@@ -23,13 +23,11 @@ from utrees.trees import (
     centroids,
     code_to_rooted_tree,
     free_code,
-    hang_count,
     hanging_subtrees,
     relabel,
     render_code,
     render_rooted,
     rooted_code,
-    shape_count,
     shapes,
 )
 
@@ -39,8 +37,10 @@ from helpers import (
     brute_rooted_isomorphic,
     brute_sides,
     cut_side,
+    hang_count,
     path,
     rooted,
+    shape_count,
     star,
     weighted_trees,
 )
@@ -474,8 +474,6 @@ def test_code_soundness_exhaustive_unit_trees():
 
 
 def test_shape_count_mass():
-    from utrees.trees import RootedWeightedTree
-
     for t in (path(1, 1, 1, 1, 1), star(2, 1, 1, 3), path(1, 2, 1, 2, 1, 2)):
         by_class = {}
         for h in shapes(t):
@@ -501,3 +499,24 @@ def test_rooted_code_soundness_against_brute_force():
         rng.shuffle(perm)
         r = rng.randrange(n)
         assert rooted_code(rooted(t, r)) == rooted_code(rooted(relabel(t, perm), perm[r]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_side_index_sizes_and_weights_add_up(data):
+    max_weight = data.draw(st.sampled_from([1, 3, 2**40]))
+    t = data.draw(weighted_trees(max_n=40, max_weight=max_weight))
+    other = data.draw(weighted_trees(max_n=12, max_weight=max_weight))
+    idx = SideIndex(t)
+    for e, r, c in idx.sides:
+        vertices = idx.vertices(e, r)
+        assert idx.size[c] == len(vertices)
+        assert idx.weight[c] == sum(t.weights[v] for v in vertices)
+    # classes interned after construction: the host and another tree, rooted
+    for host in (t, other):
+        extra = rooted(host, data.draw(st.integers(0, host.n - 1)))
+        c = idx.add(extra)
+        assert (idx.size[c], idx.weight[c]) == (host.n, host.total_weight)
+    for c, (weight, kids) in enumerate(idx.keys):
+        assert idx.size[c] == 1 + sum(idx.size[k] for k in kids)
+        assert idx.weight[c] == weight + sum(idx.weight[k] for k in kids)
