@@ -14,13 +14,16 @@ arborescence forest), summed there over every pair set.  Counting uses
 hanging subtrees of every size, with containment of a class in a host
 including the host itself; the spider example in the tests shows why the
 equality term is required for either route to close.  A containment table
-also memoises, per weight, the situations and the occurring ones with what
-`shapecount` reads of them, and U-tables: its tree's and those of the
+lists the situations of a weight that occur by a walk that reads the same
+factors, heaviest component first, and cuts a branch at its first zero
+factor; it memoises two things: per weight, those occurring situations with
+what `shapecount` reads of them, and U-tables, its tree's and those of the
 component classes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,9 +47,11 @@ from .trees import (
     rooted_code,
 )
 
-# situations one enumerate_situations call may list: the test suite and the
-# shaped benchmark corpus need at most 31, a 200-vertex unit path at weight
-# 100 would need 190,569,291
+# situations one enumerate_situations call may list, and occurring situations
+# one ContainmentTable.occurring_of walk may list: the shaped benchmark corpus
+# has at most 24 situations of one weight and 5 occurring ones, a seeded
+# 30-vertex tree of weight 47 8,665 and 948 at weight 24, and a 200-vertex
+# unit path 190,569,291 and 50 at weight 100
 MAX_SITUATIONS = 10_000
 
 # host key for the whole input tree in tables and assignment counting
@@ -112,18 +117,16 @@ class ContainmentTable:
     """Counts of each component class inside the tree and inside each class.
 
     A table belongs to the tree it was built for, and carries that tree's
-    SideIndex.  The table route fills three memos on it: the situations of
-    each weight; the situations of each weight that occur, with what a
-    non-shaped count reads of each (`occurring_of`); and U-tables, the
-    tree's (key WHOLE_TREE) and those of the component classes of the
-    occurring situations (key: the rooted code).  They live exactly as long
-    as the caller keeps the table.
+    SideIndex.  The table route fills two memos on it: the situations of
+    each weight that occur, with what a non-shaped count reads of each
+    (`occurring_of`); and U-tables, the tree's (key WHOLE_TREE) and those of
+    the component classes of the occurring situations (key: the rooted
+    code).  They live exactly as long as the caller keeps the table.
     """
 
     index: SideIndex
     tree_counts: dict[CanonicalCode, int]
     class_counts: dict[tuple[CanonicalCode, CanonicalCode], int]
-    situations: dict[int, tuple[Situation, ...]] = field(default_factory=dict)
     occurring: dict[int, tuple[Occurring, ...]] = field(default_factory=dict)
     u_tables: dict[CanonicalCode | None, Mapping[Expression, int]] = field(default_factory=dict)
 
@@ -141,16 +144,10 @@ class ContainmentTable:
         if t is not self.index.tree and t != self.index.tree:
             raise TreeInputError("the containment table was built for another tree")
 
-    def situations_of(self, target_weight: int) -> tuple[Situation, ...]:
-        """enumerate_situations of the table's tree, memoised per weight."""
-        out = self.situations.get(target_weight)
-        if out is None:
-            out = self.situations[target_weight] = _situations(self.index, target_weight)
-        return out
-
     def occurring_of(self, target_weight: int) -> tuple[Occurring, ...]:
         """(m, symmetry factor, splits) for each situation of the target
-        weight that occurs in the table's tree, memoised per weight.
+        weight that occurs in the table's tree, in enumeration order,
+        memoised per weight.
 
         m is the ordered occurrence count.  splits is the multiset-union
         product of the components' U-tables: a descending tuple of part
@@ -158,24 +155,97 @@ class ContainmentTable:
         """
         out = self.occurring.get(target_weight)
         if out is None:
-            entries = []
-            for s in self.situations_of(target_weight):
-                m = occurrences_by_inclusion_exclusion(self.index.tree, s, self)
-                if m:
-                    entries.append((m, _symmetry_factor(s), self._splits(s.codes)))
-            out = self.occurring[target_weight] = tuple(entries)
+            out = self.occurring[target_weight] = self._walk(target_weight)
         return out
 
-    def _splits(self, codes) -> dict[tuple[int, ...], int]:
-        out: dict[tuple[int, ...], int] = {(): 1}
-        for code in codes:
-            table = self.u_table(code)._table  # the view's part tuple -> count dict
-            nxt: dict[tuple[int, ...], int] = {}
-            for ka, ca in out.items():
-                for kb, cb in table.items():
-                    k = tuple(sorted(ka + kb, reverse=True))
-                    nxt[k] = nxt.get(k, 0) + ca * cb
-            out = nxt
+    def _walk(self, target_weight: int) -> tuple[Occurring, ...]:
+        """The occurring situations, by a walk that picks the side classes
+        lighter than the target heaviest first, as
+        occurrences_by_inclusion_exclusion reads the factors of one.
+
+        A branch keeps its chosen hosts, its product m of factors
+        N(c) - sum M(c, h) over the chosen h, and, once a situation below it
+        occurs, the multiset-union product of its components' U-tables; a
+        zero factor cuts the branch, and a negative one, which no consistent
+        table gives, raises.  The walk keeps its own stack, since a
+        situation can have as many components as the target weight.
+        """
+        idx = self.index
+        _check_target(target_weight, idx.tree.total_weight)
+        classes = _sorted_classes(
+            idx, {c for _, _, c in idx.sides if idx.weight[c] < target_weight}
+        )
+        codes = [idx.code(c) for c in classes]
+        weights = [idx.weight[c] for c in classes]
+        in_tree = [self.count(code, WHOLE_TREE) for code in codes]
+        # inside[h]: (k, M(k, h)) for the classes k <= h, the only ones that
+        # can follow h; taken, h subtracts them from `used`
+        inside: dict[int, list[tuple[int, int]]] = {}
+        used = [0] * len(classes)
+        chosen: list[int] = []
+        m = [1]
+        left = [target_weight]
+        splits: list[dict[tuple[int, ...], int]] = [{(): 1}]
+        # nxt[d]: the next class to try at depth d, heaviest first
+        nxt = [bisect_right(weights, target_weight) - 1]
+        found: list[tuple[tuple[int, ...], Occurring]] = []
+        while nxt:
+            i = nxt[-1]
+            if i < 0:
+                nxt.pop()
+                if chosen:
+                    for k, c in inside[chosen.pop()]:
+                        used[k] -= c
+                    m.pop()
+                    left.pop()
+                    del splits[len(chosen) + 1 :]
+                continue
+            nxt[-1] = i - 1
+            factor = in_tree[i] - used[i]
+            if factor < 0:
+                raise InternalInconsistencyError(
+                    f"{factor} sides of a component left after {len(chosen)} disjoint ones"
+                )
+            if factor == 0:
+                continue
+            rest = left[-1] - weights[i]
+            if rest == 0:
+                if len(found) == MAX_SITUATIONS:
+                    raise ResourceBoundError(
+                        f"occurring situations of weight {target_weight} exceed "
+                        f"MAX_SITUATIONS={MAX_SITUATIONS}: reached {len(found) + 1}"
+                    )
+                for h in chosen[len(splits) - 1 :]:
+                    splits.append(self._times(splits[-1], codes[h]))
+                picked = chosen + [i]
+                # orderings of the components that give the same occurrence
+                sym = prod(map(factorial, Counter(picked).values()))
+                entry = (m[-1] * factor, sym, self._times(splits[-1], codes[i]))
+                found.append((tuple(reversed(picked)), entry))
+                continue
+            if i not in inside:
+                inside[i] = [
+                    (k, c) for k in range(i + 1) if (c := self.count(codes[k], codes[i]))
+                ]
+            for k, c in inside[i]:
+                used[k] += c
+            chosen.append(i)
+            m.append(m[-1] * factor)
+            left.append(rest)
+            nxt.append(min(i, bisect_right(weights, rest) - 1))
+        # enumeration order: multisets_of_weight lists the ascending index
+        # tuples lexicographically
+        found.sort(key=lambda entry: entry[0])
+        return tuple(entry for _, entry in found)
+
+    def _times(self, splits, code) -> dict[tuple[int, ...], int]:
+        """The multiset-union product of `splits` and the U-table of `code`."""
+        table = self.u_table(code)._table  # the view's part tuple -> count dict
+        out: dict[tuple[int, ...], int] = {}
+        for ka, ca in splits.items():
+            for kb, cb in table.items():
+                k = tuple(sorted(ka + kb, reverse=True))
+                out[k] = out.get(k, 0) + ca * cb
         return out
 
     def u_table(self, code) -> Mapping[Expression, int]:
@@ -188,9 +258,11 @@ class ContainmentTable:
         return out
 
 
-def _symmetry_factor(s: Situation) -> int:
-    """Orderings of s's components that give the same occurrence."""
-    return prod(map(factorial, map(s.codes.count, set(s.codes))))
+def _check_target(target: int, total: int):
+    if target < 1:
+        raise TreeInputError(f"target weight {target} must be at least 1")
+    if not _weight_bound_ok(target, total):
+        raise TreeInputError(f"target weight {target} exceeds half of w(T)={total}")
 
 
 def _table(idx: SideIndex, ids) -> ContainmentTable:
@@ -230,13 +302,7 @@ def enumerate_situations(t: WeightedTree, target_weight: int) -> tuple[Situation
 
 
 def _situations(idx: SideIndex, target_weight: int) -> tuple[Situation, ...]:
-    total = idx.tree.total_weight
-    if target_weight < 1:
-        raise TreeInputError(f"target weight {target_weight} must be at least 1")
-    if not _weight_bound_ok(target_weight, total):
-        raise TreeInputError(
-            f"target weight {target_weight} exceeds half of w(T)={total}"
-        )
+    _check_target(target_weight, idx.tree.total_weight)
     classes = _sorted_classes(
         idx, {c for _, _, c in idx.sides if idx.weight[c] < target_weight}
     )

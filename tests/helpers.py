@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from math import factorial, prod
 from typing import Iterator
 
 from hypothesis import strategies as st
@@ -32,6 +33,8 @@ from utrees.situations import (
     Situation,
     _weight_bound_ok,
     build_containment_table,
+    enumerate_situations,
+    occurrences_by_inclusion_exclusion,
 )
 from utrees.trees import (
     CanonicalCode,
@@ -39,6 +42,7 @@ from utrees.trees import (
     RootedWeightedTree,
     SideIndex,
     WeightedTree,
+    _rooted_parent_order,
     hanging_subtrees,
     rooted_code,
 )
@@ -424,6 +428,41 @@ def occurrences_by_enumeration(t: WeightedTree, s: Situation) -> int:
             if not side & used:
                 stack.append((slot + 1, used | side))
     return total
+
+
+def symmetry_factor(s: Situation) -> int:
+    """Orderings of s's components that give the same occurrence."""
+    return prod(factorial(s.codes.count(c)) for c in set(s.codes))
+
+
+def occurring_by_enumeration(t: WeightedTree, j: int, tbl: ContainmentTable):
+    """Oracle for `ContainmentTable.occurring_of`: (situation, m, symmetry
+    factor) for every situation of weight j with a nonzero
+    `occurrences_by_inclusion_exclusion` count, in enumeration order."""
+    out = []
+    for s in enumerate_situations(t, j):
+        m = occurrences_by_inclusion_exclusion(t, s, tbl)
+        if m:
+            out.append((s, m, symmetry_factor(s)))
+    return out
+
+
+def tree_walk_id(idx: SideIndex, t: RootedWeightedTree) -> int:
+    """Oracle for `SideIndex.add`: intern t's classes into the index by a
+    walk over its tree, children before parents, as the index's own down
+    pass interns the sides."""
+    tree = t.tree
+    parent, order = _rooted_parent_order(tree, t.root)
+    below: list[list[int]] = [[] for _ in order]
+    size = [1] * tree.n
+    weight = list(tree.weights)
+    for v in reversed(order):
+        cid = idx._intern((tree.weights[v], tuple(sorted(below[v]))), size[v], weight[v])
+        if parent[v] >= 0:
+            below[parent[v]].append(cid)
+            size[parent[v]] += size[v]
+            weight[parent[v]] += weight[v]
+    return cid
 
 
 @dataclass(frozen=True)

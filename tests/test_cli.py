@@ -6,9 +6,10 @@ import time
 from decimal import Decimal
 
 import utrees
-from utrees import cli, partitions, shapecount, trees
+from utrees import cli, partitions, shapecount, situations, trees
 from utrees.cli import main
 from utrees.io import MAX_DIGITS, TreeDocument, parse_documents
+from utrees.partitions import count_shaped_partitions, u_polynomial
 from utrees.trees import isomorphic
 
 from helpers import path, star
@@ -170,6 +171,26 @@ def test_situations_past_the_cap_exit_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "MAX_SITUATIONS=10000: reached 10001" in captured.err
+
+
+def test_cap_bounds_occurring_situations_only(tmp_path, capsys, monkeypatch):
+    # weight 6 of the 2,1 path of eight vertices: 3 occurring situations of
+    # 14, so under a cap of 5 the counts answer and the listing exits 3
+    t = path(1, 2, 1, 2, 1, 2, 1, 2)
+    f = write_doc(tmp_path, "p8.json", t)
+    monkeypatch.setattr(situations, "MAX_SITUATIONS", 5)
+    w, j = t.total_weight, 6
+    expressions = [e for e in u_polynomial(t).counts if e.is_j_expression(j, w)]
+    assert len(expressions) > 5
+    for e in expressions:
+        want = count_shaped_partitions(t, j, e)
+        assert shapecount.shaped_count(t, j, e) == want
+        assert main(["count", f, "--j", str(j), "--expr", ",".join(map(str, e.parts)), "--oracle"]) == 0
+        assert capsys.readouterr().out.endswith(f"shaped={want}\nshaped-enumerated={want}\n")
+    assert main(["situations", f, "--weight", str(j)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAX_SITUATIONS=5: reached 6" in captured.err
 
 
 def test_eval(tmp_path, capsys):

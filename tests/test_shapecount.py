@@ -26,8 +26,8 @@ from utrees.shapecount import (
 from utrees.embedding import good_encode
 from utrees.situations import (
     Situation,
-    _symmetry_factor,
     build_containment_table,
+    enumerate_situations,
     hanging_classes,
     occurrences_by_inclusion_exclusion,
 )
@@ -36,6 +36,7 @@ from utrees.trees import WeightedTree, isomorphic, rooted_code
 from helpers import (
     _decomposition_sum,
     occurrences_by_enumeration,
+    occurring_by_enumeration,
     path,
     rooted,
     shape_count,
@@ -229,7 +230,7 @@ def test_foreign_table_is_refused():
     # an equal tree built anew is the same tree, and the table's memos serve it
     same = path(1, 1, 1, 1)
     assert shaped_count(same, 2, e, tbl) == count_shaped_partitions(same, 2, e)
-    assert tbl.u_tables and tbl.situations
+    assert tbl.u_tables and tbl.occurring
 
 
 def _partitions(n, cap):
@@ -309,25 +310,21 @@ def _hang_from(center_weight, branches):
 @settings(max_examples=40, deadline=None)
 @given(weighted_trees(max_n=7, max_weight=3), st.randoms(use_true_random=False))
 def test_contracted_tree_counts_the_splits_over_components(t, rng):
-    # the table's memo lists the occurring situations of each weight in
-    # enumeration order; for every j-side of two or more parts, an entry's
-    # split count is the contracted tree's U-table entry (a vertex of weight
-    # w - j with the components hung from it) and the sub-multiset search
+    # the table's memo lists the occurring situations of each weight; for
+    # every j-side of two or more parts, an entry's split count is the
+    # contracted tree's U-table entry (a vertex of weight w - j with the
+    # components hung from it) and the sub-multiset search
     # over the components' U-tables; summed over occurrences it is the
     # non-shaped count, which a one-part j-side leaves at 0
     w = t.total_weight
     for tree in (t, random_relabeling(t, rng)):
         tbl = build_containment_table(tree, hanging_classes(tree))
         for j in range(1, (w + 1) // 2 + 1):
-            occurring = []
-            for s in tbl.situations_of(j):
-                m = occurrences_by_inclusion_exclusion(tree, s, tbl)
-                if m:
-                    occurring.append((s, m))
+            occurring = occurring_by_enumeration(tree, j, tbl)
             entries = tbl.occurring_of(j)
-            assert [(m, sym) for m, sym, _ in entries] == [(m, _symmetry_factor(s)) for s, m in occurring]
+            assert [(m, sym) for m, sym, _ in entries] == [(m, sym) for _, m, sym in occurring]
             expected = {}
-            for (s, m), (_, sym, splits) in zip(occurring, entries):
+            for (s, m, _), (_, sym, splits) in zip(occurring, entries):
                 contracted = u_polynomial(_hang_from(w - j, s.components)).counts
                 for side in _partitions(j, j):
                     e = E(w - j, *side)
@@ -341,9 +338,10 @@ def test_contracted_tree_counts_the_splits_over_components(t, rng):
 
 
 def test_each_situation_and_class_table_is_built_once(monkeypatch):
-    # every j-expression of one tree at one j: one occurrence product per
-    # situation, and one U-table DP for the tree and for each distinct
-    # component class of the situations that occur
+    # every j-expression of one tree at one j: the walk lists the occurring
+    # situations without an occurrence product per situation, and there is
+    # one U-table DP for the tree and for each distinct component class of
+    # the situations that occur
     t = random_weighted_tree(9, 2, random.Random(19))
     w, j = t.total_weight, 7
     calls = {"ie": 0, "dps": 0}
@@ -358,7 +356,7 @@ def test_each_situation_and_class_table_is_built_once(monkeypatch):
         return dp(tree)
 
     tbl = build_containment_table(t, hanging_classes(t))
-    sits = tbl.situations_of(j)
+    sits = enumerate_situations(t, j)
     classes = {c for s in sits if occurrences_by_enumeration(t, s) for c in s.codes}
     expressions = [e for e in u_polynomial(t).counts if e.is_j_expression(j, w)]
     monkeypatch.setattr(situations, "occurrences_by_inclusion_exclusion", counted_ie)
@@ -366,4 +364,5 @@ def test_each_situation_and_class_table_is_built_once(monkeypatch):
     got = {e: shaped_count(t, j, e, tbl) for e in expressions}
     assert got == {e: count_shaped_partitions(t, j, e) for e in expressions}
     assert any(len(e.parts) > 2 for e in expressions) and len(classes) >= 2
-    assert calls == {"ie": len(sits), "dps": 1 + len(classes)}
+    assert len(sits) > len(tbl.occurring_of(j))
+    assert calls == {"ie": 0, "dps": 1 + len(classes)}

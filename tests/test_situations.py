@@ -1,5 +1,6 @@
 import random
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from utrees import situations
 from utrees.errors import (
     InternalInconsistencyError,
     MissingTableEntryError,
+    ResourceBoundError,
     TreeInputError,
 )
 from utrees.generate import free_trees, random_relabeling, random_weighted_tree
@@ -34,6 +36,7 @@ from helpers import (
     cut_side,
     occurrences_by_all_pair_sets,
     occurrences_by_enumeration,
+    occurring_by_enumeration,
     path,
     rooted,
     spider,
@@ -209,6 +212,61 @@ def test_negative_factor_is_an_inconsistency():
     tbl.class_counts[(rooted_code(vertex()), rooted_code(p2()))] = 4
     with pytest.raises(InternalInconsistencyError):
         occurrences_by_inclusion_exclusion(t, Situation.of([vertex(), p2()]), tbl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_trees(max_n=12, max_weight=3), st.randoms(use_true_random=False))
+def test_walk_lists_the_nonzero_products_in_enumeration_order(t, rng):
+    # the pruned walk against every situation's heaviest-first product: the
+    # same situations, m and symmetry factors, in the same order, on the
+    # tree as drawn and relabelled
+    w = t.total_weight
+    for tree in (t, random_relabeling(t, rng)):
+        tbl = build_containment_table(tree, hanging_classes(tree))
+        for j in range(1, (w + 1) // 2 + 1):
+            got = [(m, sym) for m, sym, _ in tbl.occurring_of(j)]
+            assert got == [(m, sym) for _, m, sym in occurring_by_enumeration(tree, j, tbl)]
+
+
+def test_walk_refuses_a_negative_factor():
+    # the unit star's three leaves: two leaves take 3 * 2 ordered pairs
+    t = star(1, 1, 1, 1)
+    leaf = rooted_code(vertex())
+    tbl = build_containment_table(t, hanging_classes(t))
+    assert [(m, sym) for m, sym, _ in tbl.occurring_of(2)] == [(6, 2)]
+    # a leaf counted 3 times inside a leaf leaves 0 sides for the second:
+    # the branch is cut, as the product stops at a zero factor
+    tbl = build_containment_table(t, hanging_classes(t))
+    tbl.class_counts[(leaf, leaf)] = 3
+    assert tbl.occurring_of(2) == ()
+    # 5 times leaves -2, which no consistent table gives
+    tbl = build_containment_table(t, hanging_classes(t))
+    tbl.class_counts[(leaf, leaf)] = 5
+    with pytest.raises(InternalInconsistencyError, match="-2 sides"):
+        tbl.occurring_of(2)
+    with pytest.raises(InternalInconsistencyError, match="-2 sides"):
+        occurrences_by_inclusion_exclusion(t, Situation.of([vertex(), vertex()]), tbl)
+
+
+def test_walk_below_the_recursion_limit():
+    # 1,050 of the 1,100 unit leaves around a centre of weight 1,000: one
+    # situation, deeper than the interpreter's default recursion limit
+    t = star(1000, *[1] * 1100)
+    tbl = build_containment_table(t, hanging_classes(t))
+    [(m, sym, splits)] = tbl.occurring_of(1050)
+    assert m == factorial(1100) // factorial(50)
+    assert sym == factorial(1050)
+    assert splits == {(1,) * 1050: 1}
+
+
+def test_occurring_situations_past_the_cap(monkeypatch):
+    # the 2,1 path of eight vertices has 3 occurring situations of weight 6
+    # among 14 (tests/test_cli.py runs it under a cap of 5)
+    t = path(1, 2, 1, 2, 1, 2, 1, 2)
+    monkeypatch.setattr(situations, "MAX_SITUATIONS", 2)
+    tbl = build_containment_table(t, hanging_classes(t))
+    with pytest.raises(ResourceBoundError, match="weight 6 exceed MAX_SITUATIONS=2: reached 3"):
+        tbl.occurring_of(6)
 
 
 def test_pipeline_matches_oracle_four_components():
