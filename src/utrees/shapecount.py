@@ -67,7 +67,11 @@ def nonshaped_count(
     j-side cannot split over them, and the count is 0.
     """
     side = _prepare(t, j, e)
-    tbl = _table_for(t, j, tbl)
+    return _nonshaped(_table_for(t, j, tbl), j, side)
+
+
+def _nonshaped(tbl: ContainmentTable, j: int, side: tuple[int, ...]) -> int:
+    """nonshaped_count on a validated j-side and the tree's own table."""
     if len(side) < 2:
         return 0
     total = 0
@@ -83,9 +87,9 @@ def nonshaped_count(
 
 def _counts(t: WeightedTree, j: int, e: Expression, tbl: ContainmentTable | None) -> tuple[int, int]:
     """The shaped and non-shaped counts, the latter evaluated once."""
-    _prepare(t, j, e)
+    side = _prepare(t, j, e)
     tbl = _table_for(t, j, tbl)
-    x = nonshaped_count(t, j, e, tbl)
+    x = _nonshaped(tbl, j, side)
     designations = e.parts.count(t.total_weight - j)
     shaped = tbl.u_table(WHOLE_TREE).get(e, 0) * designations - x
     if shaped < 0:

@@ -18,7 +18,10 @@ lists the situations of a weight that occur by a walk that reads the same
 factors, heaviest component first, and cuts a branch at its first zero
 factor; it memoises two things: per weight, those occurring situations with
 what `shapecount` reads of them, and U-tables, its tree's and those of the
-component classes.
+component classes.  Inside a table every count and U-table is keyed by the
+class id of the tree's SideIndex; rooted codes appear only at `count` and
+`u_table`.  A table built from `hanging_classes(t)` for the same t reuses
+the index those classes were interned on.
 """
 
 from __future__ import annotations
@@ -117,27 +120,37 @@ class ContainmentTable:
     """Counts of each component class inside the tree and inside each class.
 
     A table belongs to the tree it was built for, and carries that tree's
-    SideIndex.  The table route fills two memos on it: the situations of
-    each weight that occur, with what a non-shaped count reads of each
-    (`occurring_of`); and U-tables, the tree's (key WHOLE_TREE) and those of
-    the component classes of the occurring situations (key: the rooted
-    code).  They live exactly as long as the caller keeps the table.
+    SideIndex; its classes are keyed by their ids there.  `tree_counts`
+    maps a class id to N(c), its sides in the tree, and `class_counts` an
+    id pair (c, h) to M(c, h), its sides inside the host class h; `ids`
+    maps each class's rooted code to its id, so `count` and `u_table` take
+    codes.  The table route fills two memos on it: the situations of each
+    weight that occur, with what a non-shaped count reads of each
+    (`occurring_of`); and U-tables, the tree's (key WHOLE_TREE) and those
+    of the component classes of the occurring situations (key: the class
+    id).  They live exactly as long as the caller keeps the table.
     """
 
     index: SideIndex
-    tree_counts: dict[CanonicalCode, int]
-    class_counts: dict[tuple[CanonicalCode, CanonicalCode], int]
+    tree_counts: dict[int, int]
+    class_counts: dict[tuple[int, int], int]
+    ids: dict[CanonicalCode, int]
     occurring: dict[int, tuple[Occurring, ...]] = field(default_factory=dict)
-    u_tables: dict[CanonicalCode | None, Mapping[Expression, int]] = field(default_factory=dict)
+    u_tables: dict[int | None, Mapping[Expression, int]] = field(default_factory=dict)
 
     def count(self, component: CanonicalCode, host) -> int:
-        if host is WHOLE_TREE:
-            if component not in self.tree_counts:
-                raise MissingTableEntryError((component, "tree"))
-            return self.tree_counts[component]
-        if (component, host) not in self.class_counts:
-            raise MissingTableEntryError((component, host))
-        return self.class_counts[(component, host)]
+        ids = self.ids
+        if component not in ids or not (host is WHOLE_TREE or host in ids):
+            raise MissingTableEntryError((component, "tree" if host is WHOLE_TREE else host))
+        return self._count(ids[component], host if host is WHOLE_TREE else ids[host])
+
+    def _count(self, c: int, h: int | None) -> int:
+        """N(c) for host WHOLE_TREE, else M(c, h), by class id."""
+        out = self.tree_counts.get(c) if h is WHOLE_TREE else self.class_counts.get((c, h))
+        if out is None:
+            code = self.index.code
+            raise MissingTableEntryError((code(c), "tree" if h is WHOLE_TREE else code(h)))
+        return out
 
     def check_tree(self, t: WeightedTree):
         """Refuse a tree other than the one the table was built for."""
@@ -175,9 +188,8 @@ class ContainmentTable:
         classes = _sorted_classes(
             idx, {c for _, _, c in idx.sides if idx.weight[c] < target_weight}
         )
-        codes = [idx.code(c) for c in classes]
         weights = [idx.weight[c] for c in classes]
-        in_tree = [self.count(code, WHOLE_TREE) for code in codes]
+        in_tree = [self._count(c, WHOLE_TREE) for c in classes]
         # inside[h]: (k, M(k, h)) for the classes k <= h, the only ones that
         # can follow h; taken, h subtracts them from `used`
         inside: dict[int, list[tuple[int, int]]] = {}
@@ -216,16 +228,17 @@ class ContainmentTable:
                         f"MAX_SITUATIONS={MAX_SITUATIONS}: reached {len(found) + 1}"
                     )
                 for h in chosen[len(splits) - 1 :]:
-                    splits.append(self._times(splits[-1], codes[h]))
+                    splits.append(self._times(splits[-1], classes[h]))
                 picked = chosen + [i]
                 # orderings of the components that give the same occurrence
                 sym = prod(map(factorial, Counter(picked).values()))
-                entry = (m[-1] * factor, sym, self._times(splits[-1], codes[i]))
+                entry = (m[-1] * factor, sym, self._times(splits[-1], classes[i]))
                 found.append((tuple(reversed(picked)), entry))
                 continue
             if i not in inside:
+                host = classes[i]
                 inside[i] = [
-                    (k, c) for k in range(i + 1) if (c := self.count(codes[k], codes[i]))
+                    (k, c) for k in range(i + 1) if (c := self._count(classes[k], host))
                 ]
             for k, c in inside[i]:
                 used[k] += c
@@ -238,9 +251,9 @@ class ContainmentTable:
         found.sort(key=lambda entry: entry[0])
         return tuple(entry for _, entry in found)
 
-    def _times(self, splits, code) -> dict[tuple[int, ...], int]:
-        """The multiset-union product of `splits` and the U-table of `code`."""
-        table = self.u_table(code)._table  # the view's part tuple -> count dict
+    def _times(self, splits, cid: int) -> dict[tuple[int, ...], int]:
+        """The multiset-union product of `splits` and the U-table of class `cid`."""
+        table = self._u_table(cid)._table  # the view's part tuple -> count dict
         out: dict[tuple[int, ...], int] = {}
         for ka, ca in splits.items():
             for kb, cb in table.items():
@@ -249,12 +262,21 @@ class ContainmentTable:
         return out
 
     def u_table(self, code) -> Mapping[Expression, int]:
-        """The U-table of the table's tree (code WHOLE_TREE) or of the tree
+        """The U-table of the table's tree (code WHOLE_TREE) or of the class
         with the given rooted code, memoised."""
-        out = self.u_tables.get(code)
+        if code is WHOLE_TREE:
+            return self._u_table(WHOLE_TREE)
+        if code not in self.ids:
+            raise MissingTableEntryError((code, "u-table"))
+        return self._u_table(self.ids[code])
+
+    def _u_table(self, cid: int | None) -> Mapping[Expression, int]:
+        """The U-table of the tree (WHOLE_TREE) or of class `cid`, memoised."""
+        out = self.u_tables.get(cid)
         if out is None:
-            tree = self.index.tree if code is WHOLE_TREE else code_to_rooted_tree(code).tree
-            out = self.u_tables[code] = u_polynomial(tree).counts
+            idx = self.index
+            tree = idx.tree if cid is WHOLE_TREE else idx.rep(cid).tree
+            out = self.u_tables[cid] = u_polynomial(tree).counts
         return out
 
 
@@ -268,15 +290,32 @@ def _check_target(target: int, total: int):
 def _table(idx: SideIndex, ids) -> ContainmentTable:
     """The containment table of the classes `ids` of the index's tree."""
     ids = list(dict.fromkeys(ids))
-    codes = {c: idx.code(c) for c in ids}
     on_sides = Counter(c for _, _, c in idx.sides)
-    tree_counts = {codes[c]: on_sides[c] for c in ids}
+    tree_counts = {c: on_sides[c] for c in ids}
     inside = idx.inside(ids)
-    class_counts = {(codes[i], codes[j]): inside[j][i] for i in ids for j in ids}
-    return ContainmentTable(idx, tree_counts, class_counts)
+    class_counts = {(i, j): inside[j][i] for i in ids for j in ids}
+    return ContainmentTable(idx, tree_counts, class_counts, {idx.code(c): c for c in ids})
+
+
+class HangingClasses(tuple):
+    """Representatives of hanging classes, as a tuple; `index` is the
+    SideIndex they were interned on and `ids` their class ids there, in
+    tuple order.  The representatives themselves hold no reference to the
+    index."""
+
+    index: SideIndex
+    ids: tuple[int, ...]
 
 
 def build_containment_table(t: WeightedTree, components) -> ContainmentTable:
+    """The containment table of t for the classes of `components`.
+
+    When `components` is `hanging_classes(t)` of this very tree, the table
+    reuses the index they were interned on; any other components are
+    interned on a fresh index of t.
+    """
+    if isinstance(components, HangingClasses) and components.index.tree is t:
+        return _table(components.index, components.ids)
     idx = SideIndex(t)
     return _table(idx, [idx.add(c) for c in components])
 
@@ -285,11 +324,15 @@ def _sorted_classes(idx: SideIndex, ids) -> list[int]:
     return sorted(ids, key=lambda c: (idx.weight[c], idx.code(c)))
 
 
-def hanging_classes(t: WeightedTree) -> tuple[RootedWeightedTree, ...]:
+def hanging_classes(t: WeightedTree) -> HangingClasses:
     """One representative per isomorphism class of hanging subtrees of t,
-    sorted by weight, then code."""
+    sorted by weight, then code; the tuple carries their index and ids
+    (see HangingClasses)."""
     idx = SideIndex(t)
-    return tuple(idx.rep(c) for c in _sorted_classes(idx, {c for _, _, c in idx.sides}))
+    ids = _sorted_classes(idx, {c for _, _, c in idx.sides})
+    out = HangingClasses(idx.rep(c) for c in ids)
+    out.index, out.ids = idx, tuple(ids)
+    return out
 
 
 def enumerate_situations(t: WeightedTree, target_weight: int) -> tuple[Situation, ...]:

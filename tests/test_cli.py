@@ -133,7 +133,7 @@ def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
     # component classes 1 and 1(1) of its one situation that occurs
     made = {"indexes": 0, "dps": 0, "nonshaped": 0}
     init, dp = trees.SideIndex.__init__, partitions._u_table_dp
-    nonshaped = shapecount.nonshaped_count
+    nonshaped = shapecount._nonshaped
 
     def counted_init(self, tree):
         made["indexes"] += 1
@@ -149,7 +149,7 @@ def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(trees.SideIndex, "__init__", counted_init)
     monkeypatch.setattr(partitions, "_u_table_dp", counted_dp)
-    monkeypatch.setattr(shapecount, "nonshaped_count", counted_nonshaped)
+    monkeypatch.setattr(shapecount, "_nonshaped", counted_nonshaped)
     f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
     assert main(["count", f, "--j", "3", "--expr", "2,2,1"]) == 0
     assert capsys.readouterr().out == "partitions=6\nnon-shaped=2\nshaped=4\n"

@@ -209,7 +209,7 @@ def test_situations_of_five_or_more_components():
 def test_negative_factor_is_an_inconsistency():
     t = spider(3, 3)
     tbl = build_containment_table(t, [vertex(), p2()])
-    tbl.class_counts[(rooted_code(vertex()), rooted_code(p2()))] = 4
+    tbl.class_counts[(tbl.ids[rooted_code(vertex())], tbl.ids[rooted_code(p2())])] = 4
     with pytest.raises(InternalInconsistencyError):
         occurrences_by_inclusion_exclusion(t, Situation.of([vertex(), p2()]), tbl)
 
@@ -237,11 +237,11 @@ def test_walk_refuses_a_negative_factor():
     # a leaf counted 3 times inside a leaf leaves 0 sides for the second:
     # the branch is cut, as the product stops at a zero factor
     tbl = build_containment_table(t, hanging_classes(t))
-    tbl.class_counts[(leaf, leaf)] = 3
+    tbl.class_counts[(tbl.ids[leaf], tbl.ids[leaf])] = 3
     assert tbl.occurring_of(2) == ()
     # 5 times leaves -2, which no consistent table gives
     tbl = build_containment_table(t, hanging_classes(t))
-    tbl.class_counts[(leaf, leaf)] = 5
+    tbl.class_counts[(tbl.ids[leaf], tbl.ids[leaf])] = 5
     with pytest.raises(InternalInconsistencyError, match="-2 sides"):
         tbl.occurring_of(2)
     with pytest.raises(InternalInconsistencyError, match="-2 sides"):
@@ -335,6 +335,33 @@ def test_containment_table_matches_brute_counts(t):
         assert tbl.count(code, WHOLE_TREE) == len(hangs)
         for h in classes:
             assert tbl.count(code, rooted_code(h)) == brute_hang_count(s, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_trees(max_n=12, max_weight=3), st.randoms(use_true_random=False))
+def test_reused_and_fresh_indexes_build_the_same_table(t, rng):
+    # the table of hanging_classes(t) reuses their index; a plain list of
+    # the same classes, or the classes with an equal but distinct tree,
+    # interns them on a fresh index, and all three count alike
+    for tree in (t, random_relabeling(t, rng)):
+        classes = hanging_classes(tree)
+        reused = build_containment_table(tree, classes)
+        listed = build_containment_table(tree, list(classes))
+        equal = build_containment_table(WeightedTree(tree.n, tree.edges, tree.weights), classes)
+        assert reused.index is classes.index
+        assert listed.index is not classes.index and equal.index is not classes.index
+        # the representatives hold no reference to the index
+        assert not any(v is classes.index for r in classes for v in vars(r).values())
+        codes = [rooted_code(c) for c in classes]
+        w = tree.total_weight
+        for tbl in (listed, equal):
+            assert len(tbl.tree_counts) == len(reused.tree_counts) == len(codes)
+            assert len(tbl.class_counts) == len(reused.class_counts) == len(codes) ** 2
+            for j in range(1, (w + 1) // 2 + 1):
+                assert tbl.occurring_of(j) == reused.occurring_of(j)
+            for code in codes:
+                for host in [WHOLE_TREE] + codes:
+                    assert tbl.count(code, host) == reused.count(code, host)
 
 
 def test_table_route_makes_no_hang_count_call(monkeypatch):
