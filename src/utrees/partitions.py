@@ -285,26 +285,24 @@ def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
     return dict(zip(names, st.values()))
 
 
-def _u_table(t: WeightedTree, mode: str) -> dict[tuple[int, ...], int]:
-    """Descending part tuple -> count, by the DP or by brute subsets."""
-    if mode == "dp":
-        return _u_table_dp(t)
-    if mode == "brute":
-        return _u_table_brute(t)
-    raise TreeInputError(f"unknown u_polynomial mode {mode!r}")
-
-
 def u_polynomial(t: WeightedTree, mode: str = "dp") -> ExpressionCounts:
-    """Expression-count table of t: counts[E] = #edge subsets with characteristic E."""
+    """Expression-count table of t: counts[E] = #edge subsets with characteristic E,
+    by the DP or by brute subsets."""
+    if mode == "dp":
+        table = _u_table_dp(t)
+    elif mode == "brute":
+        table = _u_table_brute(t)
+    else:
+        raise TreeInputError(f"unknown u_polynomial mode {mode!r}")
     w = t.total_weight
-    return ExpressionCounts(t.n, w, t.n - w, _CountsView(_u_table(t, mode)))
+    return ExpressionCounts(t.n, w, t.n - w, _CountsView(table))
 
 
-def count_partitions(t: WeightedTree, e: Expression, mode: str = "dp") -> int:
+def count_partitions(t: WeightedTree, e: Expression) -> int:
     """Connected partitions of t with characteristic e (0 if e misses w(T))."""
     if e.total != t.total_weight:
         return 0
-    return _u_table(t, mode).get(e.parts, 0)
+    return _u_table_dp(t).get(e.parts, 0)
 
 
 def _boundary_size(t: WeightedTree, part: frozenset[int]) -> int:

@@ -21,8 +21,8 @@ from .partitions import Expression, is_refinement
 from .situations import (
     WHOLE_TREE,
     ContainmentTable,
-    _sorted_classes,
-    _table,
+    build_containment_table,
+    hanging_classes,
 )
 from .trees import (
     CanonicalCode,
@@ -42,14 +42,13 @@ def _prepare(t: WeightedTree, j: int, e: Expression):
     return e.j_side(j, w)
 
 
-def _table_for(t: WeightedTree, j: int, tbl: ContainmentTable | None) -> ContainmentTable:
+def _table_for(t: WeightedTree, tbl: ContainmentTable | None) -> ContainmentTable:
     """The caller's table, once it is known to be t's; else a fresh one of
-    t's hanging classes lighter than j."""
-    if tbl is not None:
-        tbl.check_tree(t)
-        return tbl
-    idx = SideIndex(t)
-    return _table(idx, _sorted_classes(idx, {c for _, _, c in idx.sides if idx.weight[c] < j}))
+    t's hanging classes."""
+    if tbl is None:
+        return build_containment_table(t, hanging_classes(t))
+    tbl.check_tree(t)
+    return tbl
 
 
 def nonshaped_count(
@@ -67,7 +66,7 @@ def nonshaped_count(
     j-side cannot split over them, and the count is 0.
     """
     side = _prepare(t, j, e)
-    return _nonshaped(_table_for(t, j, tbl), j, side)
+    return _nonshaped(_table_for(t, tbl), j, side)
 
 
 def _nonshaped(tbl: ContainmentTable, j: int, side: tuple[int, ...]) -> int:
@@ -88,7 +87,7 @@ def _nonshaped(tbl: ContainmentTable, j: int, side: tuple[int, ...]) -> int:
 def _counts(t: WeightedTree, j: int, e: Expression, tbl: ContainmentTable | None) -> tuple[int, int]:
     """The shaped and non-shaped counts, the latter evaluated once."""
     side = _prepare(t, j, e)
-    tbl = _table_for(t, j, tbl)
+    tbl = _table_for(t, tbl)
     x = _nonshaped(tbl, j, side)
     designations = e.parts.count(t.total_weight - j)
     shaped = tbl.u_table(WHOLE_TREE).get(e, 0) * designations - x
@@ -126,7 +125,7 @@ def analyze_expression(
     expression is a key of the tree's U-table, and only those keys are tried.
     """
     side = _prepare(t, j, e)
-    tbl = _table_for(t, j, tbl)
+    tbl = _table_for(t, tbl)
     w = t.total_weight
     valid = shaped_count(t, j, e, tbl) > 0
     minimal = valid and not any(

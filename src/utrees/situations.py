@@ -185,9 +185,7 @@ class ContainmentTable:
         """
         idx = self.index
         _check_target(target_weight, idx.tree.total_weight)
-        classes = _sorted_classes(
-            idx, {c for _, _, c in idx.sides if idx.weight[c] < target_weight}
-        )
+        classes = _side_classes(idx, target_weight)
         weights = [idx.weight[c] for c in classes]
         in_tree = [self._count(c, WHOLE_TREE) for c in classes]
         # inside[h]: (k, M(k, h)) for the classes k <= h, the only ones that
@@ -287,16 +285,6 @@ def _check_target(target: int, total: int):
         raise TreeInputError(f"target weight {target} exceeds half of w(T)={total}")
 
 
-def _table(idx: SideIndex, ids) -> ContainmentTable:
-    """The containment table of the classes `ids` of the index's tree."""
-    ids = list(dict.fromkeys(ids))
-    on_sides = Counter(c for _, _, c in idx.sides)
-    tree_counts = {c: on_sides[c] for c in ids}
-    inside = idx.inside(ids)
-    class_counts = {(i, j): inside[j][i] for i in ids for j in ids}
-    return ContainmentTable(idx, tree_counts, class_counts, {idx.code(c): c for c in ids})
-
-
 class HangingClasses(tuple):
     """Representatives of hanging classes, as a tuple; `index` is the
     SideIndex they were interned on and `ids` their class ids there, in
@@ -315,12 +303,21 @@ def build_containment_table(t: WeightedTree, components) -> ContainmentTable:
     interned on a fresh index of t.
     """
     if isinstance(components, HangingClasses) and components.index.tree is t:
-        return _table(components.index, components.ids)
-    idx = SideIndex(t)
-    return _table(idx, [idx.add(c) for c in components])
+        idx, ids = components.index, components.ids
+    else:
+        idx = SideIndex(t)
+        ids = list(dict.fromkeys(idx.add(c) for c in components))
+    on_sides = Counter(c for _, _, c in idx.sides)
+    tree_counts = {c: on_sides[c] for c in ids}
+    inside = idx.inside(ids)
+    class_counts = {(i, j): inside[j][i] for i in ids for j in ids}
+    return ContainmentTable(idx, tree_counts, class_counts, {idx.code(c): c for c in ids})
 
 
-def _sorted_classes(idx: SideIndex, ids) -> list[int]:
+def _side_classes(idx: SideIndex, below: int) -> list[int]:
+    """The ids of the index's side classes lighter than `below`, sorted by
+    (weight, code)."""
+    ids = {c for _, _, c in idx.sides if idx.weight[c] < below}
     return sorted(ids, key=lambda c: (idx.weight[c], idx.code(c)))
 
 
@@ -329,7 +326,8 @@ def hanging_classes(t: WeightedTree) -> HangingClasses:
     sorted by weight, then code; the tuple carries their index and ids
     (see HangingClasses)."""
     idx = SideIndex(t)
-    ids = _sorted_classes(idx, {c for _, _, c in idx.sides})
+    # every side leaves a vertex out, so it is lighter than the tree
+    ids = _side_classes(idx, t.total_weight)
     out = HangingClasses(idx.rep(c) for c in ids)
     out.index, out.ids = idx, tuple(ids)
     return out
@@ -341,14 +339,9 @@ def enumerate_situations(t: WeightedTree, target_weight: int) -> tuple[Situation
     Components never occurring as hanging subtrees are omitted: they force an
     occurrence count of zero, and every consumer multiplies by that count.
     """
-    return _situations(SideIndex(t), target_weight)
-
-
-def _situations(idx: SideIndex, target_weight: int) -> tuple[Situation, ...]:
-    _check_target(target_weight, idx.tree.total_weight)
-    classes = _sorted_classes(
-        idx, {c for _, _, c in idx.sides if idx.weight[c] < target_weight}
-    )
+    _check_target(target_weight, t.total_weight)
+    idx = SideIndex(t)
+    classes = _side_classes(idx, target_weight)
     chosen: list[tuple[int, ...]] = []
     for ch in multisets_of_weight([idx.weight[c] for c in classes], target_weight):
         if len(chosen) == MAX_SITUATIONS:

@@ -329,7 +329,8 @@ class SideIndex:
     two rooted subtrees share an id exactly when they are isomorphic (Aho,
     Hopcroft & Ullman 1974).  A down pass from vertex 0 interns the side
     below each vertex; an up pass, parents first, interns the side above it
-    from its parent's other neighbours.  A class's children always have
+    from its parent's other neighbours; `add` interns any other rooted tree
+    by the same down pass, from its root.  A class's children always have
     smaller ids than the class.
 
     `sides` lists (edge, root, class id) for both sides of every edge, in the
@@ -349,7 +350,7 @@ class SideIndex:
         self._codes: dict[int, CanonicalCode] = {}
         self._texts: dict[int, str] = {}
         self._reps: dict[int, RootedWeightedTree] = {}
-        parent, pre, down = self._down_pass(tree)
+        parent, pre, down = self._down_pass(tree, 0)
         self._parent, self._pre, self._down = parent, pre, down
         # _pos[v]: v's place in the preorder, where its down side starts
         self._pos = [0] * tree.n
@@ -396,11 +397,11 @@ class SideIndex:
             self.weight.append(weight)
         return cid
 
-    def _down_pass(self, tree: WeightedTree):
+    def _down_pass(self, tree: WeightedTree, root: int):
         """Parent array, preorder, and the class of the subtree below each
-        vertex when the tree hangs from vertex 0.  Each subtree's vertex
+        vertex when the tree hangs from `root`.  Each subtree's vertex
         count and weight add up along the walk, children before parents."""
-        parent, pre = _rooted_parent_order(tree, 0)
+        parent, pre = _rooted_parent_order(tree, root)
         down = [0] * tree.n
         size = [1] * tree.n
         weight = list(tree.weights)
@@ -418,26 +419,11 @@ class SideIndex:
         """Id of t's class, interning it and its subtrees when they are new.
 
         A new class is never a side of the tree; it only gets an id, so that
-        its code and containment counts can be read.  One stack walk over
-        t's flat code interns it, so a side representative, which carries
-        its code, builds no tree.
+        its code and containment counts can be read.  The index's own down
+        pass interns it from t's root; a side representative builds its tree
+        from its code for that.
         """
-        # per open vertex: weight, children still owed, their ids, and the
-        # vertex count and weight of its subtree so far
-        stack: list[list] = []
-        code = t.code.code
-        for w, k in zip(code[0::2], code[1::2]):
-            stack.append([w, k, [], 1, w])
-            while not stack[-1][1]:
-                w, _, kids, size, weight = stack.pop()
-                cid = self._intern((w, tuple(sorted(kids))), size, weight)
-                if not stack:
-                    return cid
-                up = stack[-1]
-                up[1] -= 1
-                up[2].append(cid)
-                up[3] += size
-                up[4] += weight
+        return self._down_pass(t.tree, t.root)[2][t.root]
 
     def shapes(self) -> tuple[tuple[Edge, int, int], ...]:
         """The sides with between 2 and n-2 vertices."""

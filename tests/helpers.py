@@ -42,7 +42,6 @@ from utrees.trees import (
     RootedWeightedTree,
     SideIndex,
     WeightedTree,
-    _rooted_parent_order,
     hanging_subtrees,
     rooted_code,
 )
@@ -445,24 +444,6 @@ def occurring_by_enumeration(t: WeightedTree, j: int, tbl: ContainmentTable):
         if m:
             out.append((s, m, symmetry_factor(s)))
     return out
-
-
-def tree_walk_id(idx: SideIndex, t: RootedWeightedTree) -> int:
-    """Oracle for `SideIndex.add`: intern t's classes into the index by a
-    walk over its tree, children before parents, as the index's own down
-    pass interns the sides."""
-    tree = t.tree
-    parent, order = _rooted_parent_order(tree, t.root)
-    below: list[list[int]] = [[] for _ in order]
-    size = [1] * tree.n
-    weight = list(tree.weights)
-    for v in reversed(order):
-        cid = idx._intern((tree.weights[v], tuple(sorted(below[v]))), size[v], weight[v])
-        if parent[v] >= 0:
-            below[parent[v]].append(cid)
-            size[parent[v]] += size[v]
-            weight[parent[v]] += weight[v]
-    return cid
 
 
 @dataclass(frozen=True)

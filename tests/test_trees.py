@@ -13,7 +13,7 @@ from utrees.errors import TreeInputError
 from utrees.generate import random_relabeling, random_weighted_tree
 from utrees.io import parse_rooted_spec
 from utrees.shapecount import _inside_shape_counts
-from utrees.situations import Situation, build_containment_table, hanging_classes
+from utrees.situations import Situation, hanging_classes
 from utrees.trees import (
     CanonicalCode,
     RootedWeightedTree,
@@ -42,7 +42,6 @@ from helpers import (
     rooted,
     shape_count,
     star,
-    tree_walk_id,
     weighted_trees,
 )
 
@@ -529,33 +528,21 @@ _ADD_WEIGHTS = (1, 2, 2**40, 2**40 + 1)
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_add_interns_from_the_code_as_the_tree_walk(data):
+def test_add_interns_any_rooted_tree(data):
     def draw_tree():
         t = data.draw(weighted_trees(max_n=20, max_weight=len(_ADD_WEIGHTS)))
         return WeightedTree(t.n, t.edges, tuple(_ADD_WEIGHTS[w - 1] for w in t.weights))
 
-    def classes(idx):
-        return {idx.code(c): (idx.size[c], idx.weight[c]) for c in range(len(idx.keys))}
-
     t, other = draw_tree(), draw_tree()
-    # representatives, and plain trees: the two drawn, rooted anywhere, and
-    # the other's classes rebuilt without their codes
+    # representatives of another tree, and plain trees: the two drawn,
+    # rooted anywhere, and the other's classes rebuilt from their codes
     reps = hanging_classes(other)
     plain = [rooted(h, data.draw(st.integers(0, h.n - 1))) for h in (t, other)]
     plain += [code_to_rooted_tree(rooted_code(r)) for r in reps]
     for x in list(reps) + plain:
-        # either walk first: the other finds the same id, so both intern
-        # the same classes with the same vertex counts and weights
         idx = SideIndex(t)
         c = idx.add(x)
-        assert tree_walk_id(idx, x) == c
-        assert (idx.size[c], idx.weight[c], idx.code(c)) == (x.n, x.weight, rooted_code(x))
-        walked = SideIndex(t)
-        c = tree_walk_id(walked, x)
-        assert walked.add(x) == c
-        assert classes(walked) == classes(idx)
-    # representatives are interned from their codes: no tree is built
-    for host in (t, other):
-        reps = hanging_classes(host)
-        build_containment_table(t, reps)
-        assert all("tree" not in vars(r) for r in reps)
+        assert (idx.code(c), idx.size[c], idx.weight[c]) == (rooted_code(x), x.n, x.weight)
+        # a second add finds the class it made: the same id, no new class
+        made = len(idx.keys)
+        assert idx.add(x) == c and len(idx.keys) == made
