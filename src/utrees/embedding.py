@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import MalformedEmbeddingError, TreeInputError
-from .trees import CanonicalCode, SideIndex, WeightedTree, free_code
+from .trees import CanonicalCode, SideIndex, WeightedTree, _trusted_tree, free_code
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,9 @@ def good_encode(t: WeightedTree) -> GoodEmbedding:
     shift = (cap + base - t.weights[r]).bit_length()
     weights[r] = base + (sidecar << shift)
 
-    return GoodEmbedding(WeightedTree(total, tuple(edges), tuple(weights)), r, n)
+    # t's edges are normalised, and each new edge runs from a leaf to a new,
+    # larger id
+    return GoodEmbedding(_trusted_tree(total, tuple(edges), tuple(weights)), r, n)
 
 
 def _induced_tree_vertices(tp: WeightedTree):
@@ -298,12 +300,14 @@ def good_decode(g: GoodEmbedding) -> WeightedTree:
         for u, w in zip(leaf_kids, leaf_ws):
             recovered[u] = w
 
+    # the core is a subtree of t', connected above, and numbering it in id
+    # order keeps each edge's ends in order; every weight was checked positive
     index = {v: i for i, v in enumerate(sorted(core))}
     edges = tuple(
         (index[u], index[v]) for u, v in tp.edges if u in core_set and v in core_set
     )
     weights = tuple(recovered[v] for v in sorted(core))
-    return WeightedTree(n, edges, weights)
+    return _trusted_tree(n, edges, weights)
 
 
 @dataclass(frozen=True)

@@ -196,74 +196,121 @@ def _state_cap_error(dp: str, size: int, what: str) -> ResourceBoundError:
     return ResourceBoundError(f"{dp} reached {size} {what} at one vertex; cap is {DP_STATE_CAP}")
 
 
+class _Packing:
+    """Packed keys for multisets of closed parts, shared by every state that
+    one DP merges.
+
+    The low w.bit_length() bits of a key hold the closed weight; above them,
+    part weight p owns a field of min(w // p, n).bit_length() bits counting
+    its parts, so a multiset union is a sum.  Fields are handed out as
+    weights first close: one per weight up to w would take w bits, and
+    encoded trees weigh 2^40 and more.  w and n must bound the weight and
+    vertex count of every tree whose states are merged, or a field carries
+    into the next one.  `one` maps a part weight to the key of one part of
+    that weight, and `parts` maps keys to descending tuples, each sorted once.
+    """
+
+    __slots__ = ("n", "w", "free", "low", "one", "parts")
+
+    def __init__(self, n: int, w: int):
+        self.n, self.w = n, w
+        self.free = w.bit_length()  # the lowest bit no field holds yet
+        self.low = (1 << self.free) - 1
+        self.one: dict[int, int] = {}
+        self.parts: dict[int, tuple[int, ...]] = {0: ()}
+
+    def field(self, p: int) -> int:
+        """Give part weight p a field; the key of one part of weight p."""
+        self.one[p] = key = p + (1 << self.free)
+        self.free += min(self.w // p, self.n).bit_length()
+        return key
+
+
+def _cut_keys(pk: _Packing, state: dict[int, int], weight: int) -> list:
+    """Per entry of a child's state, whose tree weighs `weight`: its key, the
+    key's tuple, the child's open weight, the key once the edge to the child
+    is cut and that open part closes, and the count."""
+    one, parts, low = pk.one, pk.parts, pk.low
+    kids = []
+    for kc, cc in state.items():
+        oc = weight - (kc & low)
+        cut = kc + (one.get(oc) or pk.field(oc))
+        tc = parts[kc]
+        if cut not in parts:
+            parts[cut] = tuple(sorted(tc + (oc,), reverse=True))
+        kids.append((kc, tc, oc, cut, cc))
+    return kids
+
+
+def _merge(pk: _Packing, st: dict[int, int], state: dict[int, int], weight: int) -> dict[int, int]:
+    """A vertex's state `st` merged with the state of one more child, whose
+    subtree weighs `weight`: each pair of entries either cuts the edge to the
+    child, closing its open part, or keeps it, joining that part to the
+    vertex's own open one."""
+    kids = _cut_keys(pk, state, weight)
+    parts = pk.parts
+    nxt: dict[int, int] = {}
+    get = nxt.get
+    for kp, cp in st.items():
+        for kc, tc, oc, cut, cc in kids:
+            m = cp * cc
+            # cut the edge: the child's open part closes
+            k = kp + cut
+            nxt[k] = get(k, 0) + m
+            if k not in parts:
+                parts[k] = tuple(sorted(parts[kp] + parts[cut], reverse=True))
+            # keep the edge: the child's open part joins the vertex's
+            k = kp + kc
+            nxt[k] = get(k, 0) + m
+            if k not in parts:
+                parts[k] = tuple(sorted(parts[kp] + tc, reverse=True))
+        if len(nxt) > DP_STATE_CAP:
+            raise _state_cap_error("U-table DP", len(nxt), "states")
+    return nxt
+
+
+def _close(pk: _Packing, st: dict[int, int], weight: int) -> dict[tuple[int, ...], int]:
+    """The U-table of a tree of the given weight from its root's state: the
+    root's open part closes, and keys that meet there are summed."""
+    parts, low = pk.parts, pk.low
+    table: dict[tuple[int, ...], int] = {}
+    for k, c in st.items():
+        name = tuple(sorted(parts[k] + (weight - (k & low),), reverse=True))
+        table[name] = table.get(name, 0) + c
+    return table
+
+
 def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
     """Descending part tuple -> number of edge subsets with those component weights.
 
     A vertex's state maps the multiset of parts closed in its subtree, packed
-    into one int, to a count.  The low w(T).bit_length() bits hold the closed
-    weight; above them, part weight p owns a field of min(w(T) // p,
-    n).bit_length() bits counting its parts, so a multiset union is a sum.
-    Fields are handed out as weights first close: one per weight up to w(T)
-    would take w(T) bits, and encoded trees weigh 2^40 and more.  `parts`
-    maps keys to descending tuples, each sorted once; the root's last merge
-    makes only keys of weight w(T), so each is new there and named at once.
+    into one int (see _Packing), to a count, and is its children's states
+    merged into {0: 1} one by one (_merge).  The root's last merge makes
+    only keys of weight w(T), so each is new there and named at once.
     """
     order, children = _child_lists(t)
     root = order[0]
     if not children[root]:
         return {(t.weights[root],): 1}
-    n, w = t.n, t.total_weight
-    free = w.bit_length()  # the lowest bit no field holds yet
-    low = (1 << free) - 1
-    one: dict[int, int] = {}  # part weight -> key of one part of that weight
-    parts: dict[int, tuple[int, ...]] = {0: ()}
-
-    def field(p: int) -> int:
-        nonlocal free
-        one[p] = key = p + (1 << free)
-        free += min(w // p, n).bit_length()
-        return key
-
+    pk = _Packing(t.n, t.total_weight)
+    one, parts, low = pk.one, pk.parts, pk.low
     weight = list(t.weights)  # a vertex's subtree weight, once its children are merged
-    states: list[dict[int, int] | None] = [None] * n
+    states: list[dict[int, int] | None] = [None] * t.n
     last = children[root][-1]
     for v in reversed(order):
         st = {0: 1}
         for c in children[v]:
-            # per child state: closed parts, their tuple, open weight, closed parts once the edge is cut
-            kids = []
-            for kc, cc in states[c].items():
-                oc = weight[c] - (kc & low)
-                cut = kc + (one.get(oc) or field(oc))
-                tc = parts[kc]
-                if cut not in parts:
-                    parts[cut] = tuple(sorted(tc + (oc,), reverse=True))
-                kids.append((kc, tc, oc, cut, cc))
-            states[c] = None
-            nxt: dict[int, int] = {}
-            get = nxt.get
             if c != last:
-                for kp, cp in st.items():
-                    for kc, tc, oc, cut, cc in kids:
-                        m = cp * cc
-                        # cut the edge: the child's open part closes
-                        k = kp + cut
-                        nxt[k] = get(k, 0) + m
-                        if k not in parts:
-                            parts[k] = tuple(sorted(parts[kp] + parts[cut], reverse=True))
-                        # keep the edge: the child's open part joins v's
-                        k = kp + kc
-                        nxt[k] = get(k, 0) + m
-                        if k not in parts:
-                            parts[k] = tuple(sorted(parts[kp] + tc, reverse=True))
-                    if len(nxt) > DP_STATE_CAP:
-                        raise _state_cap_error("U-table DP", len(nxt), "states")
+                st = _merge(pk, st, states[c], weight[c])
             else:
-                # as above, with the root's open part op closed too; names the table's keys
+                # _merge with the root's open part op closed too; names the table's keys
+                kids = _cut_keys(pk, states[c], weight[c])
+                nxt: dict[int, int] = {}
+                get = nxt.get
                 names = []
                 for kp, cp in st.items():
                     op = weight[v] - (kp & low)
-                    kpo = kp + (one.get(op) or field(op))
+                    kpo = kp + (one.get(op) or pk.field(op))
                     for kc, tc, oc, cut, cc in kids:
                         m = cp * cc
                         k = kpo + cut
@@ -272,15 +319,16 @@ def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
                             names.append(tuple(sorted(parts[kp] + (op,) + parts[cut], reverse=True)))
                         nxt[k] = (x or 0) + m
                         s = op + oc
-                        k = kp + kc + (one.get(s) or field(s))
+                        k = kp + kc + (one.get(s) or pk.field(s))
                         x = get(k)
                         if x is None:
                             names.append(tuple(sorted(parts[kp] + tc + (s,), reverse=True)))
                         nxt[k] = (x or 0) + m
                     if len(nxt) > DP_STATE_CAP:
                         raise _state_cap_error("U-table DP", len(nxt), "states")
+                st = nxt
+            states[c] = None
             weight[v] += weight[c]
-            st = nxt
         states[v] = st
     return dict(zip(names, st.values()))
 

@@ -18,19 +18,25 @@ lists the situations of a weight that occur by a walk that reads the same
 factors, heaviest component first, and cuts a branch at its first zero
 factor; it memoises two things: per weight, those occurring situations with
 what `shapecount` reads of them, and U-tables, its tree's and those of the
-component classes.  Inside a table every count and U-table is keyed by the
-class id of the tree's SideIndex; rooted codes appear only at `count` and
-`u_table`.  A table built from `hanging_classes(t)` for the same t reuses
-the index those classes were interned on.
+component classes.  The tree's U-table comes from the tree DP; a class's is
+closed off the class's DP state, which is its child classes' states merged
+by the same kernel, so each class state is built once per table and no
+such class table builds a tree.  Only a class of more than FOLD_MAX_SIZE
+vertices, whose state from its own root can outgrow the tree DP's, takes
+the tree DP on its representative.  Inside a table every count, state and U-table is keyed by
+the class id of the tree's SideIndex; rooted codes appear only at `count`
+and `u_table`.  A table built from `hanging_classes(t)` for the same t
+reuses the index those classes were interned on.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial, prod
+from threading import Lock
 from typing import Mapping
 
 from .errors import (
@@ -40,7 +46,7 @@ from .errors import (
     TreeInputError,
 )
 from .generate import multisets_of_weight
-from .partitions import Expression, u_polynomial
+from .partitions import Expression, _close, _CountsView, _merge, _Packing, u_polynomial
 from .trees import (
     CanonicalCode,
     RootedWeightedTree,
@@ -59,6 +65,20 @@ MAX_SITUATIONS = 10_000
 
 # host key for the whole input tree in tables and assignment counting
 WHOLE_TREE = None
+
+# the most vertices of a class whose U-table a containment table closes off
+# a folded state: such a class has at most 2^15 edge subsets, so its state
+# has at most 32,768 keys.  A larger class takes its table from the tree DP
+# on its representative, whose centroid root keeps the states small where a
+# fold from the class's own root does not: a 46-vertex unit path's root
+# state has 540,635 keys, over DP_STATE_CAP, its U-table 105,558.  On a
+# 16-vertex path weighing 1, 2, 4, ... from the class's root, the fold took
+# 88 ms and 37 MB peak against the tree DP's 62 ms and 26 MB (2-vCPU host).
+FOLD_MAX_SIZE = 16
+
+# held while a containment table folds class states: the states of a table
+# share one packing, and two threads must not hand out one field twice
+_FOLD_LOCK = Lock()
 
 # an occurring situation as non-shaped counts read it: (ordered occurrence
 # count, symmetry factor, part weights -> ways the components split so)
@@ -126,9 +146,16 @@ class ContainmentTable:
     maps each class's rooted code to its id, so `count` and `u_table` take
     codes.  The table route fills two memos on it: the situations of each
     weight that occur, with what a non-shaped count reads of each
-    (`occurring_of`); and U-tables, the tree's (key WHOLE_TREE) and those
-    of the component classes of the occurring situations (key: the class
-    id).  They live exactly as long as the caller keeps the table.
+    (`occurring_of`); and U-tables, the tree's (key WHOLE_TREE), by the
+    tree DP, and those of the component classes of the occurring situations
+    (key: the class id).  A class of at most FOLD_MAX_SIZE vertices has its
+    U-table closed off its DP state in `states`: its child classes' states
+    merged into {0: 1} by the tree DP's own merge kernel; a larger class's
+    comes from the tree DP on its representative.  The states share one
+    packing, sized by the largest class or tree in the index, and are
+    filled under a module lock, so that two threads never hand out one
+    packed field twice.  The memos live exactly as long as the caller keeps
+    the table.
     """
 
     index: SideIndex
@@ -137,6 +164,16 @@ class ContainmentTable:
     ids: dict[CanonicalCode, int]
     occurring: dict[int, tuple[Occurring, ...]] = field(default_factory=dict)
     u_tables: dict[int | None, Mapping[Expression, int]] = field(default_factory=dict)
+    states: dict[int, dict[int, int]] = field(init=False, default_factory=dict, repr=False)
+    _packing: _Packing = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the index holds every class the table can fold; a side is smaller
+        # than the tree, but a class the index added can be larger
+        idx = self.index
+        self._packing = _Packing(
+            max([idx.tree.n, *idx.size]), max([idx.tree.total_weight, *idx.weight])
+        )
 
     def count(self, component: CanonicalCode, host) -> int:
         ids = self.ids
@@ -185,8 +222,7 @@ class ContainmentTable:
         """
         idx = self.index
         _check_target(target_weight, idx.tree.total_weight)
-        classes = _side_classes(idx, target_weight)
-        weights = [idx.weight[c] for c in classes]
+        classes, weights = _side_classes(idx, target_weight)
         in_tree = [self._count(c, WHOLE_TREE) for c in classes]
         # inside[h]: (k, M(k, h)) for the classes k <= h, the only ones that
         # can follow h; taken, h subtracts them from `used`
@@ -195,7 +231,9 @@ class ContainmentTable:
         chosen: list[int] = []
         m = [1]
         left = [target_weight]
-        splits: list[dict[tuple[int, ...], int]] = [{(): 1}]
+        # splits[d]: the product of the first d chosen components' U-tables,
+        # None for the empty product
+        splits: list[dict[tuple[int, ...], int] | None] = [None]
         # nxt[d]: the next class to try at depth d, heaviest first
         nxt = [bisect_right(weights, target_weight) - 1]
         found: list[tuple[tuple[int, ...], Occurring]] = []
@@ -250,8 +288,12 @@ class ContainmentTable:
         return tuple(entry for _, entry in found)
 
     def _times(self, splits, cid: int) -> dict[tuple[int, ...], int]:
-        """The multiset-union product of `splits` and the U-table of class `cid`."""
+        """The multiset-union product of `splits` and the U-table of class
+        `cid`; the empty product (None) gives that table itself, as products
+        are only read."""
         table = self._u_table(cid)._table  # the view's part tuple -> count dict
+        if splits is None:
+            return table
         out: dict[tuple[int, ...], int] = {}
         for ka, ca in splits.items():
             for kb, cb in table.items():
@@ -269,13 +311,39 @@ class ContainmentTable:
         return self._u_table(self.ids[code])
 
     def _u_table(self, cid: int | None) -> Mapping[Expression, int]:
-        """The U-table of the tree (WHOLE_TREE) or of class `cid`, memoised."""
+        """The U-table of the tree (WHOLE_TREE) or of class `cid`, memoised:
+        a class of at most FOLD_MAX_SIZE vertices is closed off its state,
+        the rest come from the tree DP."""
         out = self.u_tables.get(cid)
         if out is None:
             idx = self.index
-            tree = idx.tree if cid is WHOLE_TREE else idx.rep(cid).tree
-            out = self.u_tables[cid] = u_polynomial(tree).counts
+            if cid is WHOLE_TREE:
+                out = u_polynomial(idx.tree).counts
+            elif idx.size[cid] > FOLD_MAX_SIZE:
+                out = u_polynomial(idx.rep(cid).tree).counts
+            else:
+                with _FOLD_LOCK:
+                    out = self._class_table(cid)
+            self.u_tables[cid] = out
         return out
+
+    def _class_table(self, cid: int) -> Mapping[Expression, int]:
+        """The U-table of class `cid` off its state, folding the states it
+        needs first, children first; the caller holds _FOLD_LOCK."""
+        idx, states = self.index, self.states
+        if cid not in states:
+            for c in idx._below([cid], states):
+                self._fold(c)
+        return _CountsView(_close(self._packing, states[cid], idx.weight[cid]))
+
+    def _fold(self, cid: int):
+        """The DP state of class `cid`: the states of its child classes,
+        which must be there, merged into {0: 1} one by one."""
+        idx, pk, states = self.index, self._packing, self.states
+        st = {0: 1}
+        for k in idx.keys[cid][1]:
+            st = _merge(pk, st, states[k], idx.weight[k])
+        states[cid] = st
 
 
 def _check_target(target: int, total: int):
@@ -314,11 +382,12 @@ def build_containment_table(t: WeightedTree, components) -> ContainmentTable:
     return ContainmentTable(idx, tree_counts, class_counts, {idx.code(c): c for c in ids})
 
 
-def _side_classes(idx: SideIndex, below: int) -> list[int]:
+def _side_classes(idx: SideIndex, below: int) -> tuple[list[int], list[int]]:
     """The ids of the index's side classes lighter than `below`, sorted by
-    (weight, code)."""
-    ids = {c for _, _, c in idx.sides if idx.weight[c] < below}
-    return sorted(ids, key=lambda c: (idx.weight[c], idx.code(c)))
+    (weight, code), and their weights."""
+    ids, weights = idx.side_classes
+    i = bisect_left(weights, below)
+    return ids[:i], weights[:i]
 
 
 def hanging_classes(t: WeightedTree) -> HangingClasses:
@@ -327,7 +396,7 @@ def hanging_classes(t: WeightedTree) -> HangingClasses:
     (see HangingClasses)."""
     idx = SideIndex(t)
     # every side leaves a vertex out, so it is lighter than the tree
-    ids = _side_classes(idx, t.total_weight)
+    ids = _side_classes(idx, t.total_weight)[0]
     out = HangingClasses(idx.rep(c) for c in ids)
     out.index, out.ids = idx, tuple(ids)
     return out
@@ -341,9 +410,9 @@ def enumerate_situations(t: WeightedTree, target_weight: int) -> tuple[Situation
     """
     _check_target(target_weight, t.total_weight)
     idx = SideIndex(t)
-    classes = _side_classes(idx, target_weight)
+    classes, weights = _side_classes(idx, target_weight)
     chosen: list[tuple[int, ...]] = []
-    for ch in multisets_of_weight([idx.weight[c] for c in classes], target_weight):
+    for ch in multisets_of_weight(weights, target_weight):
         if len(chosen) == MAX_SITUATIONS:
             raise ResourceBoundError(
                 f"situations of weight {target_weight} exceed MAX_SITUATIONS="

@@ -271,8 +271,14 @@ def _preorder_tree(seq: tuple[int, ...]) -> WeightedTree:
                 owed += [v] * k
     except IndexError:
         raise TreeInputError("trailing data in canonical code") from None
+    return _trusted_tree(n, tuple(zip(parents, range(1, n))), weights)
+
+
+def _trusted_tree(n: int, edges: tuple[Edge, ...], weights: tuple[int, ...]) -> WeightedTree:
+    """A WeightedTree from parts that make one by construction, with every
+    edge already (u, v) with u < v, skipping the constructor's checks."""
     tree = object.__new__(WeightedTree)
-    vars(tree).update(n=n, edges=tuple(zip(parents, range(1, n))), weights=weights)
+    vars(tree).update(n=n, edges=edges, weights=weights)
     return tree
 
 
@@ -385,6 +391,15 @@ class SideIndex:
             else:
                 sides += ((e, u, down[u]), (e, v, up[u]))
         self.sides: tuple[tuple[Edge, int, int], ...] = tuple(sides)
+
+    @cached_property
+    def side_classes(self) -> tuple[list[int], list[int]]:
+        """The ids of the side classes sorted by (weight, code), and their
+        weights.  `add` interns no side class, so the list is fixed once the
+        index is built."""
+        weight, code = self.weight, self.code
+        ids = sorted({c for _, _, c in self.sides}, key=lambda c: (weight[c], code(c)))
+        return ids, [weight[c] for c in ids]
 
     def _intern(self, key: tuple[int, tuple[int, ...]], size: int, weight: int) -> int:
         """Id of the class `key`; a new class records the vertex count and

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from decimal import Decimal
 
 import utrees
@@ -129,11 +130,14 @@ def test_count_with_oracle(tmp_path, capsys):
 
 
 def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
-    # one side index, one non-shaped sum, and U-tables for the tree and the
-    # component classes 1 and 1(1) of its one situation that occurs
+    # one side index, one non-shaped sum, and U-tables for the tree, by its
+    # DP, and for the component classes 1 and 1(1) of its one situation that
+    # occurs, by one state fold each
     made = {"indexes": 0, "dps": 0, "nonshaped": 0}
+    folds = Counter()
     init, dp = trees.SideIndex.__init__, partitions._u_table_dp
     nonshaped = shapecount._nonshaped
+    fold = situations.ContainmentTable._fold
 
     def counted_init(self, tree):
         made["indexes"] += 1
@@ -147,13 +151,19 @@ def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
         made["nonshaped"] += 1
         return nonshaped(*args)
 
+    def counted_fold(self, cid):
+        folds[self.index.text(cid)] += 1
+        return fold(self, cid)
+
     monkeypatch.setattr(trees.SideIndex, "__init__", counted_init)
     monkeypatch.setattr(partitions, "_u_table_dp", counted_dp)
     monkeypatch.setattr(shapecount, "_nonshaped", counted_nonshaped)
+    monkeypatch.setattr(situations.ContainmentTable, "_fold", counted_fold)
     f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
     assert main(["count", f, "--j", "3", "--expr", "2,2,1"]) == 0
     assert capsys.readouterr().out == "partitions=6\nnon-shaped=2\nshaped=4\n"
-    assert made == {"indexes": 1, "dps": 3, "nonshaped": 1}
+    assert made == {"indexes": 1, "dps": 1, "nonshaped": 1}
+    assert folds == {"1": 1, "1(1)": 1}
 
 
 def test_situations_and_m_count(tmp_path, capsys):

@@ -88,6 +88,24 @@ def test_roundtrip_random():
         assert isomorphic(good_decode(g), t)
 
 
+def _checked(t: WeightedTree) -> WeightedTree:
+    return WeightedTree(t.n, t.edges, t.weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(encodable_trees(max_n=24), st.randoms(use_true_random=False))
+def test_codec_outputs_pass_the_constructor_checks(t, rng):
+    # both ends build their trees without the constructor's checks; each
+    # output is one the constructor accepts, with the same normalised edges
+    for tree in (t, random_relabeling(t, rng)):
+        tp = good_encode(tree).t_prime
+        back = good_decode(good_encode(tree))
+        for out in (tp, back):
+            again = _checked(out)
+            assert again == out and hash(again) == hash(out)
+        assert isomorphic(back, tree)
+
+
 def test_isomorphism_transfer():
     rng = random.Random(21)
     for _ in range(60):

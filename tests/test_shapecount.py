@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -340,12 +341,14 @@ def test_contracted_tree_counts_the_splits_over_components(t, rng):
 def test_each_situation_and_class_table_is_built_once(monkeypatch):
     # every j-expression of one tree at one j: the walk lists the occurring
     # situations without an occurrence product per situation, and there is
-    # one U-table DP for the tree and for each distinct component class of
-    # the situations that occur
+    # one U-table DP, the tree's, and one state fold for each distinct
+    # component class of the situations that occur
     t = random_weighted_tree(9, 2, random.Random(19))
     w, j = t.total_weight, 7
     calls = {"ie": 0, "dps": 0}
+    folds = Counter()
     ie, dp = situations.occurrences_by_inclusion_exclusion, partitions._u_table_dp
+    fold = situations.ContainmentTable._fold
 
     def counted_ie(*args):
         calls["ie"] += 1
@@ -355,14 +358,20 @@ def test_each_situation_and_class_table_is_built_once(monkeypatch):
         calls["dps"] += 1
         return dp(tree)
 
+    def counted_fold(self, cid):
+        folds[self.index.code(cid)] += 1
+        return fold(self, cid)
+
     tbl = build_containment_table(t, hanging_classes(t))
     sits = enumerate_situations(t, j)
     classes = {c for s in sits if occurrences_by_enumeration(t, s) for c in s.codes}
     expressions = [e for e in u_polynomial(t).counts if e.is_j_expression(j, w)]
     monkeypatch.setattr(situations, "occurrences_by_inclusion_exclusion", counted_ie)
     monkeypatch.setattr(partitions, "_u_table_dp", counted_dp)
+    monkeypatch.setattr(situations.ContainmentTable, "_fold", counted_fold)
     got = {e: shaped_count(t, j, e, tbl) for e in expressions}
     assert got == {e: count_shaped_partitions(t, j, e) for e in expressions}
     assert any(len(e.parts) > 2 for e in expressions) and len(classes) >= 2
     assert len(sits) > len(tbl.occurring_of(j))
-    assert calls == {"ie": 0, "dps": 1 + len(classes)}
+    assert calls == {"ie": 0, "dps": 1}
+    assert folds == Counter(dict.fromkeys(classes, 1))

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from itertools import combinations, product
 from math import factorial
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from utrees import situations
+from utrees import partitions, situations
 from utrees.errors import (
     InternalInconsistencyError,
     MissingTableEntryError,
@@ -14,6 +16,8 @@ from utrees.errors import (
     TreeInputError,
 )
 from utrees.generate import free_trees, random_relabeling, random_weighted_tree
+from utrees.partitions import Expression, u_polynomial
+from utrees.shapecount import shaped_count
 from utrees.situations import (
     WHOLE_TREE,
     Situation,
@@ -22,7 +26,7 @@ from utrees.situations import (
     hanging_classes,
     occurrences_by_inclusion_exclusion,
 )
-from utrees.trees import WeightedTree, hanging_subtrees, rooted_code
+from utrees.trees import WeightedTree, code_to_rooted_tree, hanging_subtrees, rooted_code
 
 import helpers
 from helpers import (
@@ -456,3 +460,140 @@ def test_orbit_compile_matches_all_pair_sets_on_criterion_6_corpus():
 def test_orbit_compile_matches_all_pair_sets(t, rng):
     _check_all_pair_sets(t)
     _check_all_pair_sets(random_relabeling(t, rng))
+
+
+# The table's class U-tables come from one DP state per class, built from
+# the states of its children; each must equal the tree DP on the class's
+# representative.
+
+
+def _tree_dp_tables(idx, ids) -> dict:
+    return {c: u_polynomial(idx.rep(c).tree).counts for c in ids}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 2**40]).flatmap(lambda w: weighted_trees(max_n=12, max_weight=w)),
+    st.randoms(use_true_random=False),
+)
+def test_class_tables_equal_the_tree_dp(t, rng):
+    t = random_relabeling(t, rng)
+    classes = hanging_classes(t)
+    want = _tree_dp_tables(classes.index, classes.ids)
+    # states are built in any order: a class may find its children's
+    # states there, or build them first
+    by_id = build_containment_table(t, classes)
+    ids = list(classes.ids)
+    rng.shuffle(ids)
+    for c in ids:
+        assert by_id._u_table(c) == want[c]
+    by_code = build_containment_table(t, classes)
+    for c, rep in reversed(list(zip(classes.ids, classes))):
+        assert by_code.u_table(rep.code) == want[c]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([3, 2**40]).flatmap(lambda w: weighted_trees(max_n=4, max_weight=w)),
+    st.lists(weighted_trees(max_n=12, max_weight=2**40), min_size=1, max_size=3),
+)
+def test_class_tables_of_foreign_components_equal_the_tree_dp(t, others):
+    # components from other trees can weigh more, and have more vertices,
+    # than the table's tree; every packed field must still hold their parts
+    tbl = build_containment_table(t, [rooted(o, 0) for o in others])
+    want = _tree_dp_tables(tbl.index, tbl.ids.values())
+    for code, c in tbl.ids.items():
+        assert tbl.u_table(code) == want[c]
+
+
+def test_class_tables_larger_than_the_tree():
+    # the tree weighs 10, 10, so fields sized by it alone hold 3 parts of
+    # one weight; a 6-vertex component closing four unit leaves and then a
+    # leaf of weight 4 would carry the ones into the 4's field, packing
+    # {1,1,1,1} and {4} alike
+    t = path(10, 10)
+    comps = [rooted(star(1, 4, 1, 1, 1, 1), 0), rooted(path(1, 1, 1, 1, 1), 0)]
+    tbl = build_containment_table(t, comps)
+    for code in tbl.ids:
+        assert tbl.u_table(code) == u_polynomial(code_to_rooted_tree(code).tree).counts
+    star_table = tbl.u_table(rooted_code(comps[0]))
+    assert star_table[Expression.of([5, 4])] == star_table[Expression.of([5, 1, 1, 1, 1])] == 1
+
+
+def test_threads_sharing_a_table_read_the_single_thread_tables(monkeypatch):
+    # the class states share one packing; its fields are handed out under
+    # the fold lock, so threads never give two part weights one field
+    t = random_weighted_tree(16, 2**40, random.Random(7))
+    classes = hanging_classes(t)
+    want = {c: build_containment_table(t, classes)._u_table(c) for c in classes.ids}
+    shared = build_containment_table(t, classes)
+    fold, unlocked = situations.ContainmentTable._fold, []
+
+    def locked_fold(self, cid):
+        if not situations._FOLD_LOCK.locked():
+            unlocked.append(cid)
+        return fold(self, cid)
+
+    monkeypatch.setattr(situations.ContainmentTable, "_fold", locked_fold)
+    # more threads than cores, half reading heaviest first
+    orders = [list(classes.ids), list(reversed(classes.ids))] * 2
+    got: list[dict] = [{} for _ in orders]
+    start = threading.Barrier(len(orders))
+
+    def read(out, ids):
+        start.wait(timeout=60)
+        for c in ids:
+            out[c] = shared._u_table(c)
+
+    threads = [threading.Thread(target=read, args=(g, ids)) for g, ids in zip(got, orders)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert all(g == want for g in got)
+    assert shared.states and not unlocked
+
+
+def test_classes_above_the_fold_size_take_the_tree_dp(monkeypatch):
+    k = 20
+    arm = tuple((i, i + 1) for i in range(1, k))
+    t = WeightedTree(k + 2, ((0, 1), *arm, (0, k + 1)), (k,) + (1,) * (k + 1))
+    classes = hanging_classes(t)
+    tbl = build_containment_table(t, classes)
+    want = _tree_dp_tables(classes.index, classes.ids)
+    for c, rep in zip(classes.ids, classes):
+        assert tbl.u_table(rep.code) == want[c]
+    size = classes.index.size
+    assert max(size[c] for c in classes.ids) > situations.FOLD_MAX_SIZE
+    assert tbl.states and all(size[c] <= situations.FOLD_MAX_SIZE for c in tbl.states)
+    # from its end, the 20-vertex unit path's state holds every partition
+    # of each weight below 20, 2,087 keys, where the tree DP, rooted at its
+    # centroid, holds at most p(20) = 627; unfolded, a cap between the two
+    # does not refuse it, and folded it does
+    monkeypatch.setattr(partitions, "DP_STATE_CAP", 1000)
+    code = rooted_code(rooted(path(*[1] * k), 0))
+    assert build_containment_table(t, classes).u_table(code) == want[tbl.ids[code]]
+    monkeypatch.setattr(situations, "FOLD_MAX_SIZE", k)
+    with pytest.raises(ResourceBoundError, match="cap is 1000"):
+        build_containment_table(t, classes).u_table(code)
+
+
+def test_shaped_queries_build_no_representative_tree():
+    t = random_weighted_tree(12, 3, random.Random(12))
+    classes = hanging_classes(t)
+    tbl = build_containment_table(t, classes)
+    w = t.total_weight
+    queries = 0
+    for j in range(1, (w + 1) // 2 + 1):
+        for e in tbl.u_table(WHOLE_TREE):
+            if e.is_j_expression(j, w):
+                shaped_count(t, j, e, tbl)
+                queries += 1
+    assert queries > 100 and len(tbl.states) > 5
+    assert not any("tree" in vars(rep) for rep in classes)
