@@ -50,6 +50,7 @@ from .situations import (
 )
 from .trees import (
     CanonicalCode,
+    ClassTable,
     HangingSubtree,
     RootedWeightedTree,
     SideIndex,

@@ -73,8 +73,8 @@ def cmd_upoly(args) -> int:
 def cmd_shapes(args) -> int:
     idx = SideIndex(_load_one(args.file).tree())
     for (u, v), root, c in idx.shapes():
-        print(f"edge=({u},{v}) root={root} weight={idx.weight[c]} "
-              f"shape={idx.text(c)}")
+        print(f"edge=({u},{v}) root={root} weight={idx.classes.weight[c]} "
+              f"shape={idx.classes.text(c)}")
     return 0
 
 
@@ -145,10 +145,7 @@ def cmd_situations(args) -> int:
 
 def cmd_m_count(args) -> int:
     t = _load_one(args.file).tree()
-    comps = parse_situation_spec(args.situation)
-    if len(comps) < 2:
-        raise TreeInputError("a situation needs at least two components")
-    s = Situation.of(comps)
+    s = Situation.of(parse_situation_spec(args.situation))
     print(occurrences_by_inclusion_exclusion(t, s))
     return 0
 

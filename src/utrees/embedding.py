@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import MalformedEmbeddingError, TreeInputError
-from .trees import CanonicalCode, SideIndex, WeightedTree, _trusted_tree, free_code
+from .trees import CanonicalCode, ClassTable, SideIndex, WeightedTree, _trusted_tree, free_code
 
 
 @dataclass(frozen=True)
@@ -349,18 +349,18 @@ def check_good(trees) -> GoodSetReport:
     multisets are rooted-isomorphic whenever at least one of them weighs at
     most half of its own tree.
 
-    Property three is decided on one class table for the whole set: each
-    tree's SideIndex classes are interned again as (root weight, sorted
-    child ids) of that table (AHU), so equal ids are rooted-isomorphic
-    across trees.  Equal weight multisets need equal vertex count and
-    weight, so shapes are grouped by those two, and multisets and codes
-    are read only in a group that holds two classes or more.
+    Property three is decided on one class table for the whole set: every
+    tree's sides are indexed on it, so equal class ids are
+    rooted-isomorphic across trees (AHU).  Equal weight multisets need
+    equal vertex count and weight, so shapes are grouped by those two;
+    multisets are read only in a group that holds two classes or more, and
+    codes only for the witness.
     """
     reports = []
+    classes = ClassTable()
+    indexes = []
     # per class of the set: its first shape and its first restricted one, as
     # (tree, place among the tree's shapes, the shape's (edge, root, id))
-    ids: dict[tuple[int, tuple[int, ...]], int] = {}
-    indexes = []
     first: dict[int, tuple] = {}
     first_restricted: dict[int, tuple] = {}
     groups: dict[tuple[int, int], list[int]] = {}
@@ -372,47 +372,42 @@ def check_good(trees) -> GoodSetReport:
         w_wit = min((v for v in near.union(leaves) if t.weights[v] != 1), default=None)
         reports.append(TreePropertyReport(i, s_wit is None, s_wit, w_wit is None, w_wit))
 
-        idx = SideIndex(t)
+        idx = SideIndex(t, classes)
         indexes.append(idx)
-        batch_id = []
-        for weight, kids in idx.keys:
-            key = (weight, tuple(sorted([batch_id[k] for k in kids])))
-            batch_id.append(ids.setdefault(key, len(ids)))
-        half = t.total_weight
+        total = t.total_weight
         for place, side in enumerate(idx.shapes()):
             c = side[2]
-            g = batch_id[c]
-            if g not in first:
-                first[g] = (i, place, side)
-                groups.setdefault((idx.size[c], idx.weight[c]), []).append(g)
-            if g not in first_restricted and 2 * idx.weight[c] <= half:
-                first_restricted[g] = (i, place, side)
+            if c not in first:
+                first[c] = (i, place, side)
+                groups.setdefault((classes.size[c], classes.weight[c]), []).append(c)
+            if c not in first_restricted and 2 * classes.weight[c] <= total:
+                first_restricted[c] = (i, place, side)
 
     # a bucket of equal weight multisets with two classes or more is a
     # violation when it holds a restricted shape: the witness is its first
     # restricted shape and the first shape of another class; the bucket
     # with the least multiset is reported
     found = None
-    for classes in groups.values():
-        if len(classes) < 2:
+    for group in groups.values():
+        if len(group) < 2:
             continue
         buckets: dict[tuple[int, ...], list[int]] = {}
-        for g in classes:
-            i, _, (e, r, _) = first[g]
+        for c in group:
+            i, _, (e, r, _) = first[c]
             weights = indexes[i].tree.weights
             multiset = tuple(sorted([weights[v] for v in indexes[i].vertices(e, r)]))
-            buckets.setdefault(multiset, []).append(g)
+            buckets.setdefault(multiset, []).append(c)
         for key, bucket in buckets.items():
-            restricted = [(first_restricted[g], g) for g in bucket if g in first_restricted]
+            restricted = [(first_restricted[c], c) for c in bucket if c in first_restricted]
             if len(bucket) < 2 or not restricted or (found and found[0] <= key):
                 continue
-            a, ga = min(restricted)
-            b = min(first[g] for g in bucket if g != ga)
+            a, ca = min(restricted)
+            b = min(first[c] for c in bucket if c != ca)
             found = (key, a, b)
     if found is None:
         return GoodSetReport(tuple(reports), None)
     key, (ta, _, (_, _, ca)), (tb, _, (_, _, cb)) = found
-    code_a, code_b = indexes[ta].code(ca), indexes[tb].code(cb)
+    code_a, code_b = classes.code(ca), classes.code(cb)
     return GoodSetReport(tuple(reports), ShapeMatchViolation(ta, tb, key, code_a, code_b))
 
 

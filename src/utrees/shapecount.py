@@ -26,7 +26,7 @@ from .situations import (
 )
 from .trees import (
     CanonicalCode,
-    RootedWeightedTree,
+    ClassTable,
     SideIndex,
     WeightedTree,
     _preorder_tree,
@@ -35,11 +35,10 @@ from .trees import (
 
 def _prepare(t: WeightedTree, j: int, e: Expression):
     w = t.total_weight
-    if not e.is_j_expression(j, w):
-        raise TreeInputError(f"{e.parts} is not a {j}-expression of {w}")
+    side = e.j_side(j, w)
     if 2 * j > w + 1:
         raise TreeInputError(f"j={j} exceeds half of w(T)={w}")
-    return e.j_side(j, w)
+    return side
 
 
 def _table_for(t: WeightedTree, tbl: ContainmentTable | None) -> ContainmentTable:
@@ -135,13 +134,13 @@ def analyze_expression(
     )
     resolved = None
     if valid:
-        idx = tbl.index
+        idx, classes = tbl.index, tbl.index.classes
         want = tuple(sorted(side))
         matches = [
-            idx.code(c)
+            classes.code(c)
             for c in {c for _, _, c in idx.shapes()}
-            if idx.size[c] == len(want) and idx.weight[c] == sum(want)
-            and tuple(sorted(idx.code(c).code[0::2])) == want
+            if classes.size[c] == len(want) and classes.weight[c] == sum(want)
+            and tuple(sorted(classes.code(c).code[0::2])) == want
         ]
         resolved = min(matches, default=None)
     return ExpressionAnalysis(e, j, valid, minimal, resolved)
@@ -156,25 +155,18 @@ class ShapeCensus:
 
 
 def shape_census(t: WeightedTree) -> ShapeCensus:
+    return _census(SideIndex(t))
+
+
+def _census(idx: SideIndex) -> ShapeCensus:
+    """The shape census of the index's tree, its codes read off its table."""
     entries: dict[CanonicalCode, int] = {}
-    w = t.total_weight
-    idx = SideIndex(t)
+    w, classes = idx.tree.total_weight, idx.classes
     for _, _, c in idx.shapes():
-        if 2 * idx.weight[c] <= w:
-            code = idx.code(c)
+        if 2 * classes.weight[c] <= w:
+            code = classes.code(c)
             entries[code] = entries.get(code, 0) + 1
     return ShapeCensus(w, entries)
-
-
-def _inside_shape_counts(branch: RootedWeightedTree) -> dict[CanonicalCode, int]:
-    """Shape classes properly hanging below the branch root, by count."""
-    idx = SideIndex(branch.tree)
-    root = idx.add(branch)
-    return {
-        idx.code(c): k
-        for c, k in idx.inside([root])[root].items()
-        if c != root and idx.size[c] >= 2
-    }
 
 
 def reconstruct_from_census(census: ShapeCensus, hint_n: int) -> WeightedTree:
@@ -182,10 +174,12 @@ def reconstruct_from_census(census: ShapeCensus, hint_n: int) -> WeightedTree:
 
     Descends through census weights: maximal classes join a common vertex,
     and at each lower weight the classes not accounted for inside already
-    placed branches join it too.  The result is verified against the census;
-    any mismatch raises instead of guessing.
+    placed branches join it too, as one class table of the census counts
+    them.  The result is verified against the census on that table; any
+    mismatch raises instead of guessing.
     """
     w_total = census.total_weight
+    classes = ClassTable()
     result = None
     if not census.entries:
         if hint_n == 1:
@@ -199,29 +193,32 @@ def reconstruct_from_census(census: ShapeCensus, hint_n: int) -> WeightedTree:
                 "empty census is only realizable by a unit star of matching size"
             )
     else:
-        reps = {code: code_to_rooted_tree(code) for code in census.entries}
-        weights = {code: reps[code].weight for code in reps}
+        ids = {code: classes.add(code_to_rooted_tree(code)) for code in census.entries}
+        weights = {code: classes.weight[c] for code, c in ids.items()}
         m = max(weights.values())
-        at_max = [code for code in reps if weights[code] == m]
+        at_max = [code for code in ids if weights[code] == m]
         a = sum(census.entries[c] for c in at_max)
         if a == 2 and 2 * m == w_total:
             # the first half's root takes the second half as its last child
             first, second = at_max[0].code, at_max[-1].code
             result = _preorder_tree((first[0], first[1] + 1) + first[2:] + second)
         else:
+            inside = classes.inside(list(ids.values()))
             attached: list[CanonicalCode] = []
-            expected: dict[CanonicalCode, int] = {}
+            expected: dict[int, int] = {}  # by class id
 
             def attach(code: CanonicalCode, copies: int):
                 attached.extend([code] * copies)
-                for inner, cnt in _inside_shape_counts(reps[code]).items():
-                    expected[inner] = expected.get(inner, 0) + cnt * copies
+                root = ids[code]
+                for c, cnt in inside[root].items():
+                    if c != root and classes.size[c] >= 2:
+                        expected[c] = expected.get(c, 0) + cnt * copies
 
             for code in sorted(at_max):
                 attach(code, census.entries[code])
-            for weight in sorted({weights[c] for c in reps if weights[c] < m}, reverse=True):
-                for code in sorted(c for c in reps if weights[c] == weight):
-                    deficit = census.entries[code] - expected.get(code, 0)
+            for weight in sorted({weights[c] for c in ids if weights[c] < m}, reverse=True):
+                for code in sorted(c for c in ids if weights[c] == weight):
+                    deficit = census.entries[code] - expected.get(ids[code], 0)
                     if deficit < 0:
                         raise ReconstructionError(
                             f"census lists fewer copies of a class than its branches imply"
@@ -240,7 +237,7 @@ def reconstruct_from_census(census: ShapeCensus, hint_n: int) -> WeightedTree:
         )
     if result.total_weight != w_total:
         raise ReconstructionError("descent lost weight")
-    rebuilt = shape_census(result)
+    rebuilt = _census(SideIndex(result, classes))
     if dict(rebuilt.entries) != dict(census.entries):
         raise ReconstructionError("descent result does not reproduce the census")
     return result

@@ -168,12 +168,11 @@ class ContainmentTable:
     _packing: _Packing = field(init=False, repr=False)
 
     def __post_init__(self):
-        # the index holds every class the table can fold; a side is smaller
-        # than the tree, but a class the index added can be larger
+        # the index's classes are all the table can fold; a side is smaller
+        # than the tree, but a class added to the index can be larger
         idx = self.index
-        self._packing = _Packing(
-            max([idx.tree.n, *idx.size]), max([idx.tree.total_weight, *idx.weight])
-        )
+        size, weight = idx.classes.size, idx.classes.weight
+        self._packing = _Packing(max([idx.tree.n, *size]), max([idx.tree.total_weight, *weight]))
 
     def count(self, component: CanonicalCode, host) -> int:
         ids = self.ids
@@ -185,7 +184,7 @@ class ContainmentTable:
         """N(c) for host WHOLE_TREE, else M(c, h), by class id."""
         out = self.tree_counts.get(c) if h is WHOLE_TREE else self.class_counts.get((c, h))
         if out is None:
-            code = self.index.code
+            code = self.index.classes.code
             raise MissingTableEntryError((code(c), "tree" if h is WHOLE_TREE else code(h)))
         return out
 
@@ -319,8 +318,8 @@ class ContainmentTable:
             idx = self.index
             if cid is WHOLE_TREE:
                 out = u_polynomial(idx.tree).counts
-            elif idx.size[cid] > FOLD_MAX_SIZE:
-                out = u_polynomial(idx.rep(cid).tree).counts
+            elif idx.classes.size[cid] > FOLD_MAX_SIZE:
+                out = u_polynomial(idx.classes.rep(cid).tree).counts
             else:
                 with _FOLD_LOCK:
                     out = self._class_table(cid)
@@ -330,19 +329,19 @@ class ContainmentTable:
     def _class_table(self, cid: int) -> Mapping[Expression, int]:
         """The U-table of class `cid` off its state, folding the states it
         needs first, children first; the caller holds _FOLD_LOCK."""
-        idx, states = self.index, self.states
+        classes, states = self.index.classes, self.states
         if cid not in states:
-            for c in idx._below([cid], states):
+            for c in classes._below([cid], states):
                 self._fold(c)
-        return _CountsView(_close(self._packing, states[cid], idx.weight[cid]))
+        return _CountsView(_close(self._packing, states[cid], classes.weight[cid]))
 
     def _fold(self, cid: int):
         """The DP state of class `cid`: the states of its child classes,
         which must be there, merged into {0: 1} one by one."""
-        idx, pk, states = self.index, self._packing, self.states
+        classes, pk, states = self.index.classes, self._packing, self.states
         st = {0: 1}
-        for k in idx.keys[cid][1]:
-            st = _merge(pk, st, states[k], idx.weight[k])
+        for k in classes.keys[cid][1]:
+            st = _merge(pk, st, states[k], classes.weight[k])
         states[cid] = st
 
 
@@ -374,12 +373,12 @@ def build_containment_table(t: WeightedTree, components) -> ContainmentTable:
         idx, ids = components.index, components.ids
     else:
         idx = SideIndex(t)
-        ids = list(dict.fromkeys(idx.add(c) for c in components))
+        ids = list(dict.fromkeys(idx.classes.add(c) for c in components))
     on_sides = Counter(c for _, _, c in idx.sides)
     tree_counts = {c: on_sides[c] for c in ids}
-    inside = idx.inside(ids)
+    inside = idx.classes.inside(ids)
     class_counts = {(i, j): inside[j][i] for i in ids for j in ids}
-    return ContainmentTable(idx, tree_counts, class_counts, {idx.code(c): c for c in ids})
+    return ContainmentTable(idx, tree_counts, class_counts, {idx.classes.code(c): c for c in ids})
 
 
 def _side_classes(idx: SideIndex, below: int) -> tuple[list[int], list[int]]:
@@ -397,7 +396,7 @@ def hanging_classes(t: WeightedTree) -> HangingClasses:
     idx = SideIndex(t)
     # every side leaves a vertex out, so it is lighter than the tree
     ids = _side_classes(idx, t.total_weight)[0]
-    out = HangingClasses(idx.rep(c) for c in ids)
+    out = HangingClasses(idx.classes.rep(c) for c in ids)
     out.index, out.ids = idx, tuple(ids)
     return out
 
@@ -421,7 +420,7 @@ def enumerate_situations(t: WeightedTree, target_weight: int) -> tuple[Situation
         chosen.append(ch)
     # classes are sorted by (weight, code) and lighter than the target, so each
     # multiset is a sorted situation with two or more components
-    codes = [idx.code(c) for c in classes]
+    codes = [idx.classes.code(c) for c in classes]
     return tuple(Situation(tuple(codes[i] for i in ch)) for ch in chosen)
 
 

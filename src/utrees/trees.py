@@ -1,10 +1,12 @@
 """Vertex-weighted trees, canonical codes, and the index of hanging subtrees.
 
 Trees, codes and the functions on them are immutable values, and nothing is
-memoised at module level: work shared between calls on one tree goes through
-that tree's SideIndex, which lives as long as its caller keeps it.  A rooted
+memoised at module level: rooted classes are interned (AHU) on a ClassTable,
+and the edge sides of one tree are indexed on a table by a SideIndex; each
+lives as long as its caller keeps it.  One table can hold the classes of
+many trees, so equal ids mean isomorphic across all of them.  A rooted
 tree computes its canonical code once and keeps it, and a code its nested
-text.  A side representative is born with only what its index knows: its
+text.  A side representative is born with only what its table knows: its
 code and text, weight and vertex count, so reading any of them takes no
 walk; its tree is built from the code by the preorder builder (valid by
 construction) on the first read of `.tree`, and kept.  Vertex ids are
@@ -151,7 +153,7 @@ class CanonicalCode:
     @cached_property
     def text(self) -> str:
         """The nested text of render_code, walked off the flat code once and
-        kept, unless the SideIndex that made the code gave it; not a field,
+        kept, unless the ClassTable that made the code gave it; not a field,
         so equality, order and hashing ignore it."""
         return _code_text(self.code)
 
@@ -176,7 +178,7 @@ class HangingSubtree:
     """One side of T - e, rooted at the endvertex of e it contains.
 
     `vertices` and `root` are in the host tree's ids.  `component` is the
-    representative of the side's rooted class (see SideIndex.rep): a
+    representative of the side's rooted class (see ClassTable.rep): a
     standalone tree rooted at 0, isomorphic to the side but not numbered
     like it, and the same object for every isomorphic side of one call.  It
     carries its class code, the code's text, its weight and its vertex
@@ -328,27 +330,17 @@ def isomorphic(a: WeightedTree, b: WeightedTree) -> bool:
     return free_code(a) == free_code(b)
 
 
-class SideIndex:
-    """The rooted classes of every edge side of one tree, interned (AHU).
-
-    A class id stands for the key (root weight, sorted child class ids), so
-    two rooted subtrees share an id exactly when they are isomorphic (Aho,
-    Hopcroft & Ullman 1974).  A down pass from vertex 0 interns the side
-    below each vertex; an up pass, parents first, interns the side above it
-    from its parent's other neighbours; `add` interns any other rooted tree
-    by the same down pass, from its root.  A class's children always have
-    smaller ids than the class.
-
-    `sides` lists (edge, root, class id) for both sides of every edge, in the
-    order of hanging_subtrees.  Per class, `keys`, `size` and `weight` hold
-    the key, the vertex count and the total weight; the walks measure the
-    last two as they intern, so no class sums its children's.  Canonical
-    codes, texts and representatives are made on request and kept on the
-    index; a representative's tree waits until it is read (see rep).
+class ClassTable:
+    """Rooted classes of any number of trees, interned (AHU): a class id
+    stands for the key (root weight, sorted child class ids), so two rooted
+    trees share an id exactly when they are isomorphic (Aho, Hopcroft &
+    Ullman 1974), and a class's children have smaller ids than it.  Per
+    class, `keys`, `size` and `weight` hold the key, the vertex count and
+    the weight, which the interning walks measure.  Codes, texts and
+    representatives are made on request and kept (see rep).
     """
 
-    def __init__(self, tree: WeightedTree):
-        self.tree = tree
+    def __init__(self):
         self.keys: list[tuple[int, tuple[int, ...]]] = []
         self.size: list[int] = []
         self.weight: list[int] = []
@@ -356,54 +348,11 @@ class SideIndex:
         self._codes: dict[int, CanonicalCode] = {}
         self._texts: dict[int, str] = {}
         self._reps: dict[int, RootedWeightedTree] = {}
-        parent, pre, down = self._down_pass(tree, 0)
-        self._parent, self._pre, self._down = parent, pre, down
-        # _pos[v]: v's place in the preorder, where its down side starts
-        self._pos = [0] * tree.n
-        for i, v in enumerate(pre):
-            self._pos[v] = i
-        kids: list[list[int]] = [[] for _ in pre]
-        for v in pre[1:]:
-            kids[parent[v]].append(v)
-        # up[v]: the side of (parent[v], v) that holds the parent, rooted
-        # there; it is the rest of the tree, so its vertex count and weight
-        # are the tree's less those of the side below v
-        n, total = tree.n, tree.total_weight
-        size, weight = self.size, self.weight
-        up = [0] * n
-        for p in pre:
-            if not kids[p]:
-                continue
-            nbrs = sorted([down[c] for c in kids[p]] + ([up[p]] if p else []))
-            made: dict[int, int] = {}
-            for c in kids[p]:
-                d = down[c]
-                if d not in made:
-                    i = bisect_left(nbrs, d)
-                    key = (tree.weights[p], tuple(nbrs[:i] + nbrs[i + 1 :]))
-                    made[d] = self._intern(key, n - size[d], total - weight[d])
-                up[c] = made[d]
-        sides = []
-        for e in tree.edges:
-            u, v = e
-            if parent[v] == u:
-                sides += ((e, u, up[v]), (e, v, down[v]))
-            else:
-                sides += ((e, u, down[u]), (e, v, up[u]))
-        self.sides: tuple[tuple[Edge, int, int], ...] = tuple(sides)
 
-    @cached_property
-    def side_classes(self) -> tuple[list[int], list[int]]:
-        """The ids of the side classes sorted by (weight, code), and their
-        weights.  `add` interns no side class, so the list is fixed once the
-        index is built."""
-        weight, code = self.weight, self.code
-        ids = sorted({c for _, _, c in self.sides}, key=lambda c: (weight[c], code(c)))
-        return ids, [weight[c] for c in ids]
-
-    def _intern(self, key: tuple[int, tuple[int, ...]], size: int, weight: int) -> int:
-        """Id of the class `key`; a new class records the vertex count and
-        weight that the caller's walk measured for it."""
+    def _intern(self, root_weight: int, kids: tuple[int, ...], size: int, weight: int) -> int:
+        """Id of the class (root weight, sorted child ids); a new class
+        records the vertex count and weight the caller's walk measured."""
+        key = (root_weight, kids)
         cid = self._ids.get(key)
         if cid is None:
             cid = self._ids[key] = len(self.keys)
@@ -422,7 +371,7 @@ class SideIndex:
         weight = list(tree.weights)
         below: list[list[int]] = [[] for _ in pre]
         for v in reversed(pre):
-            down[v] = self._intern((tree.weights[v], tuple(sorted(below[v]))), size[v], weight[v])
+            down[v] = self._intern(tree.weights[v], tuple(sorted(below[v])), size[v], weight[v])
             p = parent[v]
             if p >= 0:
                 below[p].append(down[v])
@@ -431,26 +380,9 @@ class SideIndex:
         return parent, pre, down
 
     def add(self, t: RootedWeightedTree) -> int:
-        """Id of t's class, interning it and its subtrees when they are new.
-
-        A new class is never a side of the tree; it only gets an id, so that
-        its code and containment counts can be read.  The index's own down
-        pass interns it from t's root; a side representative builds its tree
-        from its code for that.
-        """
+        """Id of t's class, interning it and its subtrees when they are new,
+        by the down pass from t's root (a representative builds its tree)."""
         return self._down_pass(t.tree, t.root)[2][t.root]
-
-    def shapes(self) -> tuple[tuple[Edge, int, int], ...]:
-        """The sides with between 2 and n-2 vertices."""
-        return tuple(s for s in self.sides if 2 <= self.size[s[2]] <= self.tree.n - 2)
-
-    def vertices(self, edge: Edge, root: int) -> frozenset[int]:
-        """Host vertex ids of the side of `edge` that holds `root`."""
-        u, v = edge
-        low = v if self._parent[v] == u else u
-        i = self._pos[low]
-        j = i + self.size[self._down[low]]
-        return frozenset(self._pre[i:j] if root == low else self._pre[:i] + self._pre[j:])
 
     def _below(self, ids, known=()) -> list[int]:
         """The given classes and every class under them, children first,
@@ -492,8 +424,8 @@ class SideIndex:
 
     def rep(self, cid: int) -> RootedWeightedTree:
         """Representative tree of a class, rooted at 0.  It is born with
-        what the index knows: the class code and its text (which only the
-        index knows are canonical), the weight and the vertex count.  Its
+        what the table knows: the class code and its text (which only the
+        table knows are canonical), the weight and the vertex count.  Its
         tree is built from the code on the first read of `.tree`."""
         if cid not in self._reps:
             code = self.code(cid)
@@ -517,8 +449,86 @@ class SideIndex:
         return {h: done[h] for h in hosts}
 
 
+class SideIndex:
+    """Every edge side of one tree, its class interned on `classes`: the
+    caller's table, so that the sides of several trees share ids, or a
+    fresh one.  A down pass from vertex 0 interns the side below each
+    vertex; an up pass, parents first, the side above it from its parent's
+    other neighbours.  `sides` lists (edge, root, class id) for both sides
+    of every edge, in the order of hanging_subtrees; the table's fields and
+    methods also read through the index.
+    """
+
+    def __init__(self, tree: WeightedTree, classes: ClassTable | None = None):
+        self.tree = tree
+        self.classes = classes = ClassTable() if classes is None else classes
+        parent, pre, down = classes._down_pass(tree, 0)
+        self._parent, self._pre = parent, pre
+        size, weight, intern = classes.size, classes.weight, classes._intern
+        # _span[v]: where v's down side starts and ends in the preorder
+        self._span = [(0, 0)] * tree.n
+        for i, v in enumerate(pre):
+            self._span[v] = (i, i + size[down[v]])
+        kids: list[list[int]] = [[] for _ in pre]
+        for v in pre[1:]:
+            kids[parent[v]].append(v)
+        # up[v]: the side of (parent[v], v) that holds the parent, rooted
+        # there; it is the rest of the tree, so its vertex count and weight
+        # are the tree's less those of the side below v
+        n, total = tree.n, tree.total_weight
+        up = [0] * n
+        for p in pre:
+            if not kids[p]:
+                continue
+            nbrs = sorted([down[c] for c in kids[p]] + ([up[p]] if p else []))
+            made: dict[int, int] = {}
+            for c in kids[p]:
+                d = down[c]
+                if d not in made:
+                    i = bisect_left(nbrs, d)
+                    others = tuple(nbrs[:i] + nbrs[i + 1 :])
+                    made[d] = intern(tree.weights[p], others, n - size[d], total - weight[d])
+                up[c] = made[d]
+        sides = []
+        for e in tree.edges:
+            u, v = e
+            if parent[v] == u:
+                sides += ((e, u, up[v]), (e, v, down[v]))
+            else:
+                sides += ((e, u, down[u]), (e, v, up[u]))
+        self.sides: tuple[tuple[Edge, int, int], ...] = tuple(sides)
+
+    def __getattr__(self, name):
+        # a missing attribute is the table's; `classes` misses only in unpickling
+        if name == "classes":
+            raise AttributeError(name)
+        return getattr(self.classes, name)
+
+    @cached_property
+    def side_classes(self) -> tuple[list[int], list[int]]:
+        """The ids of the side classes sorted by (weight, code), and their
+        weights.  The sides are fixed once the index is built, so the list
+        is too, whatever is interned on the table later."""
+        weight, code = self.classes.weight, self.classes.code
+        ids = sorted({c for _, _, c in self.sides}, key=lambda c: (weight[c], code(c)))
+        return ids, [weight[c] for c in ids]
+
+    def shapes(self) -> tuple[tuple[Edge, int, int], ...]:
+        """The sides with between 2 and n-2 vertices."""
+        size, top = self.classes.size, self.tree.n - 2
+        return tuple(s for s in self.sides if 2 <= size[s[2]] <= top)
+
+    def vertices(self, edge: Edge, root: int) -> frozenset[int]:
+        """Host vertex ids of the side of `edge` that holds `root`."""
+        u, v = edge
+        low = v if self._parent[v] == u else u
+        i, j = self._span[low]
+        return frozenset(self._pre[i:j] if root == low else self._pre[:i] + self._pre[j:])
+
+
 def _hanging(idx: SideIndex, sides) -> tuple[HangingSubtree, ...]:
-    return tuple(HangingSubtree(e, r, idx.vertices(e, r), idx.rep(c)) for e, r, c in sides)
+    vertices, rep = idx.vertices, idx.classes.rep
+    return tuple(HangingSubtree(e, r, vertices(e, r), rep(c)) for e, r, c in sides)
 
 
 def hanging_subtrees(t: WeightedTree) -> tuple[HangingSubtree, ...]:
@@ -536,14 +546,14 @@ def shapes(t: WeightedTree) -> tuple[HangingSubtree, ...]:
 def alpha_vector(t: WeightedTree) -> tuple[int, ...]:
     """Strictly increasing distinct weights of the shapes of t."""
     idx = SideIndex(t)
-    return tuple(sorted({idx.weight[c] for _, _, c in idx.shapes()}))
+    return tuple(sorted({idx.classes.weight[c] for _, _, c in idx.shapes()}))
 
 
 def render_code(code: CanonicalCode) -> str:
     """Compact nested text of a rooted code, e.g. '1(1,2(1))'.
 
     Children print in code order.  The text is kept on the code: a code
-    from a SideIndex representative already holds the index's composed
+    from a ClassTable representative already holds the table's composed
     text, and any other code reads its text off the flat sequence once.
     """
     return code.text

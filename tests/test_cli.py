@@ -303,6 +303,18 @@ def test_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out == "0\n"
 
 
+def test_input_errors_come_from_the_check_that_owns_them(tmp_path, capsys):
+    # a situation of fewer than two components, and an e that is not a
+    # j-expression at a j above half: the latter error is reported first
+    f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
+    capsys.readouterr()
+    for spec in ("1", ""):
+        assert main(["m-count", f, "--situation", spec]) == 2
+        assert capsys.readouterr() == ("", "error: a situation needs at least two components\n")
+    assert main(["count", f, "--j", "4", "--expr", "3,2"]) == 2
+    assert capsys.readouterr() == ("", "error: (3, 2) is not a 4-expression of 5\n")
+
+
 def test_count_expr_takes_ascii_digits_only(tmp_path, capsys):
     # int() would read 1_1 as 11 and accept a sign, blanks or a fullwidth 3
     f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))

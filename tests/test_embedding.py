@@ -17,11 +17,21 @@ from utrees.embedding import (
 )
 from utrees.errors import MalformedEmbeddingError, TreeInputError
 from utrees.generate import random_encodable_tree, random_relabeling
-from utrees.trees import SideIndex, WeightedTree, hanging_subtrees, isomorphic, render_code
+from utrees.trees import (
+    ClassTable,
+    SideIndex,
+    WeightedTree,
+    hanging_subtrees,
+    isomorphic,
+    render_code,
+    rooted_code,
+)
 
 from helpers import (
+    brute_sides,
     check_good_by_buckets,
     coding_run_by_scan,
+    cut_side,
     encodable_trees,
     path,
     spider,
@@ -265,9 +275,47 @@ def test_check_good_reads_one_class_table_across_trees():
         ids.append({idx.code(c): c for _, _, c in idx.shapes()})
     shared = ids[0].keys() & ids[1].keys()
     assert shared and any(ids[0][code] != ids[1][code] for code in shared)
+    # indexed on one table, the same shapes get one id in both trees
+    table = ClassTable()
+    on_table = []
+    for t, fresh in zip(batch, ids):
+        idx = SideIndex(t, table)
+        assert idx.classes is table
+        on_table.append({table.code(c): c for _, _, c in idx.shapes()})
+        assert on_table[-1].keys() == fresh.keys()
+    assert all(on_table[0][code] == on_table[1][code] for code in shared)
     report = check_good(batch)
     assert report.shape_violation is None
     assert report == check_good_by_buckets(batch)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            weighted_trees(max_n=8, max_weight=3),
+            encodable_trees(max_n=7).map(lambda t: good_encode(t).t_prime),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_one_class_table_shares_ids_exactly_across_trees(batch):
+    # two sides of any trees share an id iff their cut-out subtrees have
+    # equal rooted codes, and each tree's sides read as on a fresh index
+    table = ClassTable()
+    ids_of: dict = {}
+    codes_of: dict = {}
+    for t in batch:
+        idx, fresh = SideIndex(t, table), SideIndex(t)
+        assert [table.code(c) for *_, c in idx.sides] == [fresh.code(c) for *_, c in fresh.sides]
+        for (e, r, vertices), (f, root, c) in zip(brute_sides(t), idx.sides, strict=True):
+            assert (e, r) == (f, root)
+            code = rooted_code(cut_side(t, vertices, r))
+            ids_of.setdefault(code, set()).add(c)
+            codes_of.setdefault(c, set()).add(code)
+    assert all(len(ids) == 1 for ids in ids_of.values())
+    assert all(len(codes) == 1 for codes in codes_of.values())
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from utrees.errors import ReconstructionError, TreeInputError
 from utrees.generate import free_trees, random_relabeling, random_weighted_tree
-from utrees import partitions, situations
+from utrees import partitions, situations, trees
 from utrees.partitions import (
     Expression,
     count_partitions,
@@ -214,6 +214,34 @@ def test_reconstruct_encoded_trees():
             continue
         back = reconstruct_from_census(shape_census(tp), tp.n)
         assert isomorphic(back, tp)
+
+
+def test_reconstruct_interns_on_one_class_table(monkeypatch):
+    # one table holds every census class and the final verification's index
+    made = Counter()
+    for cls in (trees.ClassTable, trees.SideIndex):
+        init = cls.__init__
+
+        def counted(self, *args, init=init, name=cls.__name__):
+            made[name] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    sources = [t for n in range(2, 10) for t in free_trees(n)]
+    sources += [good_encode(t).t_prime for n in range(3, 6) for t in free_trees(n)]
+    done = 0
+    for t in sources:
+        census = shape_census(t)
+        made.clear()
+        try:
+            back = reconstruct_from_census(census, t.n)
+        except ReconstructionError:
+            assert made["ClassTable"] == 1 and made["SideIndex"] <= 1
+            continue
+        assert made == {"ClassTable": 1, "SideIndex": 1}
+        assert isomorphic(back, t)
+        done += 1
+    assert done > 40
 
 
 def test_foreign_table_is_refused():

@@ -12,10 +12,10 @@ from utrees import trees
 from utrees.errors import TreeInputError
 from utrees.generate import random_relabeling, random_weighted_tree
 from utrees.io import parse_rooted_spec
-from utrees.shapecount import _inside_shape_counts
 from utrees.situations import Situation, hanging_classes
 from utrees.trees import (
     CanonicalCode,
+    ClassTable,
     RootedWeightedTree,
     SideIndex,
     WeightedTree,
@@ -433,7 +433,14 @@ def test_subtree_code_counts_match_brute_oracle(t, data):
         else:
             assert shape_count(s, host_tree) == 0
         for h in hosts:
-            inside = _inside_shape_counts(h)
+            # the shape classes properly below h's root, by code
+            table = ClassTable()
+            root = table.add(h)
+            inside = {
+                table.code(c): k
+                for c, k in table.inside([root])[root].items()
+                if c != root and table.size[c] >= 2
+            }
             below = [
                 side.component
                 for side in hanging_subtrees(host_tree)
