@@ -72,9 +72,10 @@ def cmd_upoly(args) -> int:
 
 def cmd_shapes(args) -> int:
     idx = SideIndex(_load_one(args.file).tree())
-    for (u, v), root, c in idx.shapes():
-        print(f"edge=({u},{v}) root={root} weight={idx.classes.weight[c]} "
-              f"shape={idx.classes.text(c)}")
+    sides = idx.shapes()
+    codes = idx.classes.compose([c for _, _, c in sides])
+    for ((u, v), root, c), code in zip(sides, codes):
+        print(f"edge=({u},{v}) root={root} weight={idx.classes.weight[c]} shape={code.text}")
     return 0
 
 

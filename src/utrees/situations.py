@@ -57,10 +57,9 @@ from .trees import (
 )
 
 # situations one enumerate_situations call may list, and occurring situations
-# one ContainmentTable.occurring_of walk may list: the shaped benchmark corpus
-# has at most 24 situations of one weight and 5 occurring ones, a seeded
-# 30-vertex tree of weight 47 8,665 and 948 at weight 24, and a 200-vertex
-# unit path 190,569,291 and 50 at weight 100
+# one ContainmentTable.occurring_of walk may list: far above what the
+# benchmark corpora and seeded trees of a few dozen vertices list, and far
+# below what one weight of a long unit path has (CHANGES.md keeps the counts)
 MAX_SITUATIONS = 10_000
 
 # host key for the whole input tree in tables and assignment counting
@@ -70,10 +69,9 @@ WHOLE_TREE = None
 # a folded state: such a class has at most 2^15 edge subsets, so its state
 # has at most 32,768 keys.  A larger class takes its table from the tree DP
 # on its representative, whose centroid root keeps the states small where a
-# fold from the class's own root does not: a 46-vertex unit path's root
-# state has 540,635 keys, over DP_STATE_CAP, its U-table 105,558.  On a
-# 16-vertex path weighing 1, 2, 4, ... from the class's root, the fold took
-# 88 ms and 37 MB peak against the tree DP's 62 ms and 26 MB (2-vCPU host).
+# fold from the class's own root does not: on a long unit path the root
+# state outgrows DP_STATE_CAP while the U-table stays under it (CHANGES.md
+# keeps the measurements)
 FOLD_MAX_SIZE = 16
 
 # held while a containment table folds class states: the states of a table

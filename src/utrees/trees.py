@@ -6,10 +6,14 @@ and the edge sides of one tree are indexed on a table by a SideIndex; each
 lives as long as its caller keeps it.  One table can hold the classes of
 many trees, so equal ids mean isomorphic across all of them.  A rooted
 tree computes its canonical code once and keeps it, and a code its nested
-text.  A side representative is born with only what its table knows: its
-code and text, weight and vertex count, so reading any of them takes no
-walk; its tree is built from the code by the preorder builder (valid by
-construction) on the first read of `.tree`, and kept.  Vertex ids are
+text.  A table makes the codes of many classes, each with its text, in
+one children-first walk.  A side representative is born with only what
+its table knows: its code and text, weight and vertex count, so reading
+any of them takes no walk; its tree is built from the code by the
+preorder builder (valid by construction) on the first read of `.tree`,
+and kept.  A hanging subtree holds its tree's index and reads its vertex
+set off it only when asked, so `shapes` costs what it returns: one class
+walk for all its sides, and a representative per class.  Vertex ids are
 0-based and carry no meaning: every observable output (codes, counts) is
 invariant under relabeling.
 """
@@ -18,9 +22,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 
 from .errors import TreeInputError
 
@@ -158,6 +163,10 @@ class CanonicalCode:
         return _code_text(self.code)
 
 
+# a composed code's flat sequence, and its text
+_flat, _text = attrgetter("code"), attrgetter("text")
+
+
 def _code_text(flat: tuple[int, ...]) -> str:
     """Nested text of a flat rooted code, read in one pass."""
     parts: list[str] = []
@@ -177,20 +186,29 @@ def _code_text(flat: tuple[int, ...]) -> str:
 class HangingSubtree:
     """One side of T - e, rooted at the endvertex of e it contains.
 
-    `vertices` and `root` are in the host tree's ids.  `component` is the
-    representative of the side's rooted class (see ClassTable.rep): a
-    standalone tree rooted at 0, isomorphic to the side but not numbered
-    like it, and the same object for every isomorphic side of one call.  It
-    carries its class code, the code's text, its weight and its vertex
-    count, so rooted_code, render_rooted, `.weight` and `.n` read them
-    without a walk; its tree is built from the code on the first read of
-    `.tree`.
+    The constructor takes (detach_edge, root, component, index); `root` is
+    in the host tree's ids.  `component` is the representative of the
+    side's rooted class (see ClassTable.rep): a standalone tree rooted at 0,
+    isomorphic to the side but not numbered like it, and the same object
+    for every isomorphic side of one call.  It carries its class code, the
+    code's text, its weight and its vertex count, so rooted_code,
+    render_rooted, `.weight` and `.n` read them without a walk; its tree is
+    built from the code on the first read of `.tree`.  `index` is the
+    host's SideIndex, which the side holds so that `vertices` is read on
+    demand.  Equality and hashing cover the edge, the root and the
+    component; the repr leaves out the index and the vertices.
     """
 
     detach_edge: Edge
     root: int
-    vertices: frozenset[int]
     component: RootedWeightedTree
+    index: SideIndex = field(compare=False, repr=False)
+
+    @cached_property
+    def vertices(self) -> frozenset[int]:
+        """The side's host vertex ids, read off the index on the first
+        access and kept."""
+        return self.index.vertices(self.detach_edge, self.root)
 
 
 def relabel(t: WeightedTree, perm: list[int] | tuple[int, ...]) -> WeightedTree:
@@ -336,8 +354,9 @@ class ClassTable:
     trees share an id exactly when they are isomorphic (Aho, Hopcroft &
     Ullman 1974), and a class's children have smaller ids than it.  Per
     class, `keys`, `size` and `weight` hold the key, the vertex count and
-    the weight, which the interning walks measure.  Codes, texts and
-    representatives are made on request and kept (see rep).
+    the weight, which the interning walks measure.  Codes, each born with
+    its text, are made on request in one walk (see compose), and
+    representatives on request (see rep); both are kept.
     """
 
     def __init__(self):
@@ -346,7 +365,6 @@ class ClassTable:
         self.weight: list[int] = []
         self._ids: dict[tuple[int, tuple[int, ...]], int] = {}
         self._codes: dict[int, CanonicalCode] = {}
-        self._texts: dict[int, str] = {}
         self._reps: dict[int, RootedWeightedTree] = {}
 
     def _intern(self, root_weight: int, kids: tuple[int, ...], size: int, weight: int) -> int:
@@ -396,31 +414,31 @@ class ClassTable:
                     stack.append(k)
         return sorted(seen)
 
-    def code(self, cid: int) -> CanonicalCode:
-        """Canonical code of a class; equals rooted_code of each of its trees."""
+    def compose(self, ids) -> list[CanonicalCode]:
+        """Canonical codes of the classes in the sequence `ids`, in its
+        order; each equals rooted_code of every tree of its class.  The
+        missing ones, and those under them, are made in one children-first
+        walk: a class lists its root weight and child count, then its
+        children's codes in code order, and is born with its text (see
+        render_code), its children's texts joined in that order."""
         codes = self._codes
-        if cid not in codes:
-            for c in self._below([cid], codes):
+        todo = {c for c in ids if c not in codes}
+        if todo:
+            for c in self._below(todo, codes):
                 weight, kids = self.keys[c]
-                flat = chain((weight, len(kids)), *sorted(codes[k].code for k in kids))
-                codes[c] = CanonicalCode(tuple(flat))
-        return codes[cid]
+                subs = sorted([codes[k] for k in kids], key=_flat)
+                code = codes[c] = CanonicalCode(tuple(chain((weight, len(kids)), *map(_flat, subs))))
+                vars(code)["text"] = f"{weight}({','.join(map(_text, subs))})" if kids else str(weight)
+        return [codes[c] for c in ids]
+
+    def code(self, cid: int) -> CanonicalCode:
+        """Canonical code of a class (see compose)."""
+        code = self._codes.get(cid)
+        return self.compose([cid])[0] if code is None else code
 
     def text(self, cid: int) -> str:
-        """Nested text of a class (see render_code), composed like code():
-        each class joins its children's texts in code order."""
-        texts = self._texts
-        if cid not in texts:
-            self.code(cid)
-            codes = self._codes
-            for c in self._below([cid], texts):
-                weight, kids = self.keys[c]
-                if kids:
-                    inner = ",".join([texts[k] for k in sorted(kids, key=lambda k: codes[k].code)])
-                    texts[c] = f"{weight}({inner})"
-                else:
-                    texts[c] = str(weight)
-        return texts[cid]
+        """Nested text of a class (see render_code), born with its code."""
+        return self.code(cid).text
 
     def rep(self, cid: int) -> RootedWeightedTree:
         """Representative tree of a class, rooted at 0.  It is born with
@@ -428,10 +446,8 @@ class ClassTable:
         table knows are canonical), the weight and the vertex count.  Its
         tree is built from the code on the first read of `.tree`."""
         if cid not in self._reps:
-            code = self.code(cid)
-            vars(code)["text"] = self.text(cid)
             rep = object.__new__(RootedWeightedTree)
-            vars(rep).update(root=0, code=code, n=self.size[cid], weight=self.weight[cid])
+            vars(rep).update(root=0, code=self.code(cid), n=self.size[cid], weight=self.weight[cid])
             self._reps[cid] = rep
         return self._reps[cid]
 
@@ -519,16 +535,27 @@ class SideIndex:
         return tuple(s for s in self.sides if 2 <= size[s[2]] <= top)
 
     def vertices(self, edge: Edge, root: int) -> frozenset[int]:
-        """Host vertex ids of the side of `edge` that holds `root`."""
+        """Host vertex ids of the side of `edge` that holds `root`; raises
+        TreeInputError unless `edge` is a tree edge (either way round) and
+        `root` one of its ends."""
         u, v = edge
-        low = v if self._parent[v] == u else u
+        parent, n = self._parent, self.tree.n
+        if not (0 <= u < n and 0 <= v < n and root in edge):
+            raise TreeInputError(f"no side of {edge!r} rooted at {root!r}")
+        if parent[v] == u:
+            low = v
+        elif parent[u] == v:
+            low = u
+        else:
+            raise TreeInputError(f"{edge!r} is not an edge of the tree")
         i, j = self._span[low]
         return frozenset(self._pre[i:j] if root == low else self._pre[:i] + self._pre[j:])
 
 
 def _hanging(idx: SideIndex, sides) -> tuple[HangingSubtree, ...]:
-    vertices, rep = idx.vertices, idx.classes.rep
-    return tuple(HangingSubtree(e, r, vertices(e, r), rep(c)) for e, r, c in sides)
+    classes = idx.classes
+    classes.compose([c for _, _, c in sides])
+    return tuple(HangingSubtree(e, r, classes.rep(c), idx) for e, r, c in sides)
 
 
 def hanging_subtrees(t: WeightedTree) -> tuple[HangingSubtree, ...]:

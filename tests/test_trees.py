@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utrees import trees
+from utrees.embedding import good_encode
 from utrees.errors import TreeInputError
-from utrees.generate import random_relabeling, random_weighted_tree
+from utrees.generate import random_encodable_tree, random_relabeling, random_weighted_tree
 from utrees.io import parse_rooted_spec
 from utrees.situations import Situation, hanging_classes
 from utrees.trees import (
@@ -37,6 +38,7 @@ from helpers import (
     brute_rooted_isomorphic,
     brute_sides,
     cut_side,
+    encodable_trees,
     hang_count,
     path,
     rooted,
@@ -305,6 +307,101 @@ def test_isomorphic_sides_share_one_representative():
     assert by_root[((0, 1), 0)] is by_root[((1, 2), 2)]
     assert render_rooted(by_root[((0, 1), 1)]) == "2(1)"
     assert sorted(len(h.vertices) for h in sides) == [1, 1, 2, 2]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    weighted_trees(max_n=14, max_weight=3)
+    | weighted_trees(max_n=14, max_weight=2**40)
+    | encodable_trees(max_n=7).map(lambda t: good_encode(t).t_prime)
+)
+def test_hanging_subtrees_and_shapes_match_the_bfs_sides(t):
+    want = []
+    for e, r, vertices in brute_sides(t):
+        side = cut_side(t, vertices, r)
+        want.append((e, r, vertices, rooted_code(side), render_rooted(side)))
+    shaped = [w for w in want if 2 <= len(w[2]) <= t.n - 2]
+    for got, expected in ((hanging_subtrees(t), want), (shapes(t), shaped)):
+        assert [
+            (h.detach_edge, h.root, h.vertices, rooted_code(h.component), render_rooted(h.component))
+            for h in got
+        ] == expected
+
+
+@pytest.mark.parametrize(
+    "edge, root",
+    [
+        pytest.param((0, 4), 0, id="not-an-edge"),
+        pytest.param((0, 3), 0, id="not-an-edge-below-the-root"),
+        pytest.param((1, 2), 4, id="root-off-the-edge"),
+        pytest.param((4, 5), 4, id="end-out-of-range"),
+        pytest.param((-1, 0), 0, id="negative-end"),
+    ],
+)
+def test_side_index_refuses_what_is_not_a_side(edge, root):
+    idx = SideIndex(path(1, 1, 1, 1, 1))
+    with pytest.raises(TreeInputError):
+        idx.vertices(edge, root)
+    # either orientation of a tree edge is one
+    assert idx.vertices((2, 1), 1) == idx.vertices((1, 2), 1) == {0, 1}
+    assert idx.vertices((2, 1), 2) == {2, 3, 4}
+
+
+def test_shapes_read_no_vertex_set_until_asked(monkeypatch):
+    calls = []
+    read = SideIndex.vertices
+
+    def counted(self, edge, root):
+        calls.append((edge, root))
+        return read(self, edge, root)
+
+    monkeypatch.setattr(SideIndex, "vertices", counted)
+    rng = random.Random(26)
+    for n in (5, 9, 14, 23):
+        for t in (random_weighted_tree(n, 3, rng), good_encode(random_encodable_tree(n, rng)).t_prime):
+            sides = shapes(t) + hanging_subtrees(t)
+            assert all(render_rooted(h.component) for h in sides)
+    assert calls == []
+    h = sides[0]
+    first = h.vertices
+    assert calls == [(h.detach_edge, h.root)]
+    assert h.vertices is first and len(calls) == 1
+
+
+def test_shapes_compose_their_classes_in_one_walk(monkeypatch):
+    walks = []
+    below = ClassTable._below
+
+    def counted(self, *args):
+        walks.append(args)
+        return below(self, *args)
+
+    monkeypatch.setattr(ClassTable, "_below", counted)
+    rng = random.Random(27)
+    shaped = 0
+    for n in (5, 9, 14, 23):
+        for t in (random_weighted_tree(n, 3, rng), good_encode(random_encodable_tree(n, rng)).t_prime):
+            walks.clear()
+            sides = shapes(t)
+            assert all(render_rooted(h.component) for h in sides)
+            # a tree without shapes has no class to compose
+            assert len(walks) == (1 if sides else 0)
+            shaped += bool(sides)
+    assert shaped >= 6
+
+
+def test_hanging_subtrees_survive_pickle_and_deepcopy():
+    t = random_weighted_tree(12, 3, random.Random(28))
+    for h in hanging_subtrees(t):
+        unread = [pickle.loads(pickle.dumps(h)), copy.deepcopy(h)]
+        vertices = h.vertices
+        read = [pickle.loads(pickle.dumps(h)), copy.deepcopy(h)]
+        for other in unread + read:
+            assert other == h and hash(other) == hash(h)
+            assert other.vertices == vertices
+        # equality, hashing and the repr leave out the index and the vertices
+        assert "index" not in repr(h) and "vertices" not in repr(h)
+    assert hanging_subtrees(t) == hanging_subtrees(t)
 
 
 def test_representatives_read_their_code_without_a_walk(monkeypatch):
