@@ -22,7 +22,7 @@ COLOURING_ENUM_CAP = 4**10
 # estimated bits of the largest value a part contributes to M, B or Br; the
 # subsets route builds one per distinct open weight, at most w(T) of them, so
 # the cap bounds that work by about its square (a star whose 15 leaves weigh
-# 2^0..2^14 reaches it, and M at k = 2 answers in about 3 s)
+# 2^0..2^14 reaches it; CHANGES.md keeps the timing)
 VALUE_BITS_CAP = 2**15
 
 
@@ -280,57 +280,62 @@ def _close(pk: _Packing, st: dict[int, int], weight: int) -> dict[tuple[int, ...
     return table
 
 
+def _close_merge(pk: _Packing, st: dict[int, int], weight_v: int,
+                 state: dict[int, int], weight: int) -> dict[tuple[int, ...], int]:
+    """A tree's U-table: _merge of its root's state `st`, of weight `weight_v`
+    so far, and its last child's `state`, of weight `weight`, with the root's
+    open part op closed too, so each key is new there and named at once."""
+    kids = _cut_keys(pk, state, weight)
+    one, parts, low = pk.one, pk.parts, pk.low
+    nxt: dict[int, int] = {}
+    get = nxt.get
+    names = []
+    for kp, cp in st.items():
+        op = weight_v - (kp & low)
+        kpo = kp + (one.get(op) or pk.field(op))
+        for kc, tc, oc, cut, cc in kids:
+            m = cp * cc
+            k = kpo + cut
+            x = get(k)
+            if x is None:
+                names.append(tuple(sorted(parts[kp] + (op,) + parts[cut], reverse=True)))
+            nxt[k] = (x or 0) + m
+            s = op + oc
+            k = kp + kc + (one.get(s) or pk.field(s))
+            x = get(k)
+            if x is None:
+                names.append(tuple(sorted(parts[kp] + tc + (s,), reverse=True)))
+            nxt[k] = (x or 0) + m
+        if len(nxt) > DP_STATE_CAP:
+            raise _state_cap_error("U-table DP", len(nxt), "states")
+    return dict(zip(names, nxt.values()))
+
+
 def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
     """Descending part tuple -> number of edge subsets with those component weights.
 
     A vertex's state maps the multiset of parts closed in its subtree, packed
     into one int (see _Packing), to a count, and is its children's states
-    merged into {0: 1} one by one (_merge).  The root's last merge makes
-    only keys of weight w(T), so each is new there and named at once.
+    merged into {0: 1} one by one (_merge); the root's last merge is
+    _close_merge, which closes the root's open part and names the keys.
     """
     order, children = _child_lists(t)
     root = order[0]
     if not children[root]:
         return {(t.weights[root],): 1}
     pk = _Packing(t.n, t.total_weight)
-    one, parts, low = pk.one, pk.parts, pk.low
     weight = list(t.weights)  # a vertex's subtree weight, once its children are merged
     states: list[dict[int, int] | None] = [None] * t.n
     last = children[root][-1]
     for v in reversed(order):
         st = {0: 1}
         for c in children[v]:
-            if c != last:
-                st = _merge(pk, st, states[c], weight[c])
-            else:
-                # _merge with the root's open part op closed too; names the table's keys
-                kids = _cut_keys(pk, states[c], weight[c])
-                nxt: dict[int, int] = {}
-                get = nxt.get
-                names = []
-                for kp, cp in st.items():
-                    op = weight[v] - (kp & low)
-                    kpo = kp + (one.get(op) or pk.field(op))
-                    for kc, tc, oc, cut, cc in kids:
-                        m = cp * cc
-                        k = kpo + cut
-                        x = get(k)
-                        if x is None:
-                            names.append(tuple(sorted(parts[kp] + (op,) + parts[cut], reverse=True)))
-                        nxt[k] = (x or 0) + m
-                        s = op + oc
-                        k = kp + kc + (one.get(s) or pk.field(s))
-                        x = get(k)
-                        if x is None:
-                            names.append(tuple(sorted(parts[kp] + tc + (s,), reverse=True)))
-                        nxt[k] = (x or 0) + m
-                    if len(nxt) > DP_STATE_CAP:
-                        raise _state_cap_error("U-table DP", len(nxt), "states")
-                st = nxt
+            if c == last:  # the root comes last, and this is its last child
+                return _close_merge(pk, st, weight[v], states[c], weight[c])
+            st = _merge(pk, st, states[c], weight[c])
             states[c] = None
             weight[v] += weight[c]
         states[v] = st
-    return dict(zip(names, st.values()))
 
 
 def u_polynomial(t: WeightedTree, mode: str = "dp") -> ExpressionCounts:

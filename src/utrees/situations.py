@@ -18,15 +18,16 @@ lists the situations of a weight that occur by a walk that reads the same
 factors, heaviest component first, and cuts a branch at its first zero
 factor; it memoises two things: per weight, those occurring situations with
 what `shapecount` reads of them, and U-tables, its tree's and those of the
-component classes.  The tree's U-table comes from the tree DP; a class's is
-closed off the class's DP state, which is its child classes' states merged
-by the same kernel, so each class state is built once per table and no
-such class table builds a tree.  Only a class of more than FOLD_MAX_SIZE
-vertices, whose state from its own root can outgrow the tree DP's, takes
-the tree DP on its representative.  Inside a table every count, state and U-table is keyed by
-the class id of the tree's SideIndex; rooted codes appear only at `count`
-and `u_table`.  A table built from `hanging_classes(t)` for the same t
-reuses the index those classes were interned on.
+component classes.  A class's U-table is closed off its DP state, its child
+classes' states merged by the tree DP's own kernel, so each class state is
+built once per table and no such class table builds a tree; the tree's is
+closed off the states of its most balanced edge's two sides.  A class of
+more than FOLD_MAX_SIZE vertices, whose state from its own root can outgrow
+the tree DP's, takes the tree DP on its representative, and so does a tree
+with such a side there (or no edge).  Inside a table every count, state and
+U-table is keyed by the class id of the tree's SideIndex; rooted codes
+appear only at `count` and `u_table`.  A table built from `hanging_classes(t)`
+for the same t reuses the index those classes were interned on.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     TreeInputError,
 )
 from .generate import multisets_of_weight
-from .partitions import Expression, _close, _CountsView, _merge, _Packing, u_polynomial
+from .partitions import Expression, _close, _close_merge, _CountsView, _merge, _Packing, u_polynomial
 from .trees import (
     CanonicalCode,
     RootedWeightedTree,
@@ -138,22 +139,22 @@ class ContainmentTable:
     """Counts of each component class inside the tree and inside each class.
 
     A table belongs to the tree it was built for, and carries that tree's
-    SideIndex; its classes are keyed by their ids there.  `tree_counts`
-    maps a class id to N(c), its sides in the tree, and `class_counts` an
-    id pair (c, h) to M(c, h), its sides inside the host class h; `ids`
-    maps each class's rooted code to its id, so `count` and `u_table` take
-    codes.  The table route fills two memos on it: the situations of each
-    weight that occur, with what a non-shaped count reads of each
-    (`occurring_of`); and U-tables, the tree's (key WHOLE_TREE), by the
-    tree DP, and those of the component classes of the occurring situations
-    (key: the class id).  A class of at most FOLD_MAX_SIZE vertices has its
-    U-table closed off its DP state in `states`: its child classes' states
-    merged into {0: 1} by the tree DP's own merge kernel; a larger class's
-    comes from the tree DP on its representative.  The states share one
-    packing, sized by the largest class or tree in the index, and are
-    filled under a module lock, so that two threads never hand out one
-    packed field twice.  The memos live exactly as long as the caller keeps
-    the table.
+    SideIndex; its classes are keyed by their ids there.  `tree_counts` maps
+    a class id to N(c), its sides in the tree, and `class_counts` an id pair
+    (c, h) to M(c, h), its sides inside the host class h; `ids` maps each
+    class's rooted code to its id, so `count` and `u_table` take codes.  The
+    table route fills two memos on it: the situations of each weight that
+    occur, with what a non-shaped count reads of each (`occurring_of`); and
+    U-tables, the tree's (key WHOLE_TREE) and those of the component classes
+    of the occurring situations (key: the class id).  A class of at most
+    FOLD_MAX_SIZE vertices has its U-table closed off its DP state in
+    `states`: its child classes' states merged into {0: 1} by the tree DP's
+    own merge kernel, and the tree's off two such states (see _tree_table);
+    a larger class, or a tree with a larger side there, takes the tree DP.
+    The states share one packing, sized by the largest class or tree in the
+    index, and are filled under a module lock, so that two threads never
+    hand out one packed field twice.  The memos live exactly as long as the
+    caller keeps the table.
     """
 
     index: SideIndex
@@ -308,30 +309,48 @@ class ContainmentTable:
         return self._u_table(self.ids[code])
 
     def _u_table(self, cid: int | None) -> Mapping[Expression, int]:
-        """The U-table of the tree (WHOLE_TREE) or of class `cid`, memoised:
-        a class of at most FOLD_MAX_SIZE vertices is closed off its state,
-        the rest come from the tree DP."""
+        """The U-table of the tree (WHOLE_TREE, see _tree_table) or of class
+        `cid`, memoised: a class of at most FOLD_MAX_SIZE vertices is closed
+        off its state, the rest come from the tree DP."""
         out = self.u_tables.get(cid)
         if out is None:
             idx = self.index
             if cid is WHOLE_TREE:
-                out = u_polynomial(idx.tree).counts
+                out = self._tree_table()
             elif idx.classes.size[cid] > FOLD_MAX_SIZE:
                 out = u_polynomial(idx.classes.rep(cid).tree).counts
             else:
                 with _FOLD_LOCK:
-                    out = self._class_table(cid)
+                    self._fold_missing([cid])
+                    out = _CountsView(_close(self._packing, self.states[cid], idx.classes.weight[cid]))
             self.u_tables[cid] = out
         return out
 
-    def _class_table(self, cid: int) -> Mapping[Expression, int]:
-        """The U-table of class `cid` off its state, folding the states it
-        needs first, children first; the caller holds _FOLD_LOCK."""
-        classes, states = self.index.classes, self.states
-        if cid not in states:
-            for c in classes._below([cid], states):
-                self._fold(c)
-        return _CountsView(_close(self._packing, states[cid], classes.weight[cid]))
+    def _tree_table(self) -> Mapping[Expression, int]:
+        """The tree's U-table, closed in one merge off the states of the two
+        sides of its most balanced edge (the first in `index.sides`); with no
+        edge, or a side there past FOLD_MAX_SIZE vertices, by the tree DP."""
+        idx, st = self.index, self.states
+        sides, size, weight = idx.sides, idx.classes.size, idx.classes.weight
+        a = b = None
+        top = FOLD_MAX_SIZE + 1
+        for i in range(0, len(sides), 2):  # the two sides of each edge in turn
+            x, y = sides[i][2], sides[i + 1][2]
+            m = max(size[x], size[y])
+            if m < top:
+                top, a, b = m, x, y
+        if a is None:
+            return u_polynomial(idx.tree).counts
+        with _FOLD_LOCK:
+            self._fold_missing([a, b])
+            return _CountsView(_close_merge(self._packing, st[a], weight[a], st[b], weight[b]))
+
+    def _fold_missing(self, ids):
+        """Fold the states of the classes `ids` that have none yet, and of
+        the classes under them, children first; the caller holds _FOLD_LOCK."""
+        states = self.states
+        for c in self.index.classes._below([c for c in ids if c not in states], states):
+            self._fold(c)
 
     def _fold(self, cid: int):
         """The DP state of class `cid`: the states of its child classes,

@@ -471,8 +471,7 @@ class SideIndex:
     fresh one.  A down pass from vertex 0 interns the side below each
     vertex; an up pass, parents first, the side above it from its parent's
     other neighbours.  `sides` lists (edge, root, class id) for both sides
-    of every edge, in the order of hanging_subtrees; the table's fields and
-    methods also read through the index.
+    of every edge, in the order of hanging_subtrees.
     """
 
     def __init__(self, tree: WeightedTree, classes: ClassTable | None = None):
@@ -513,12 +512,6 @@ class SideIndex:
             else:
                 sides += ((e, u, down[u]), (e, v, up[u]))
         self.sides: tuple[tuple[Edge, int, int], ...] = tuple(sides)
-
-    def __getattr__(self, name):
-        # a missing attribute is the table's; `classes` misses only in unpickling
-        if name == "classes":
-            raise AttributeError(name)
-        return getattr(self.classes, name)
 
     @cached_property
     def side_classes(self) -> tuple[list[int], list[int]]:

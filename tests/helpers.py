@@ -273,7 +273,7 @@ def brute_hang_count(s: RootedWeightedTree, h: RootedWeightedTree) -> int:
 def shape_count(s: RootedWeightedTree, t: WeightedTree) -> int:
     """How many shapes of t are rooted-isomorphic to s."""
     idx = SideIndex(t)
-    target = idx.add(s)
+    target = idx.classes.add(s)
     return sum(1 for _, _, c in idx.shapes() if c == target)
 
 
@@ -285,8 +285,8 @@ def hang_count(s: RootedWeightedTree, h: RootedWeightedTree) -> int:
     term.  Both are read off the index's `inside` counts of h's class.
     """
     idx = SideIndex(h.tree)
-    host = idx.add(h)
-    return idx.inside([host])[host][idx.add(s)]
+    host = idx.classes.add(h)
+    return idx.classes.inside([host])[host][idx.classes.add(s)]
 
 
 def check_good_by_buckets(trees) -> GoodSetReport:
@@ -319,9 +319,9 @@ def check_good_by_buckets(trees) -> GoodSetReport:
         half = t.total_weight
         idx = SideIndex(t)
         for _, _, c in idx.shapes():
-            code = idx.code(c)
+            code = idx.classes.code(c)
             key = tuple(sorted(code.code[0::2]))
-            restricted = 2 * idx.weight[c] <= half
+            restricted = 2 * idx.classes.weight[c] <= half
             buckets.setdefault(key, []).append((i, code, restricted))
     for key in sorted(buckets):
         entries = buckets[key]

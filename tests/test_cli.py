@@ -130,9 +130,10 @@ def test_count_with_oracle(tmp_path, capsys):
 
 
 def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
-    # one side index, one non-shaped sum, and U-tables for the tree, by its
-    # DP, and for the component classes 1 and 1(1) of its one situation that
-    # occurs, by one state fold each
+    # one side index, one non-shaped sum, and no U-table DP: one state fold
+    # each for the component classes 1 and 1(1) of its one situation that
+    # occurs, and for 1(1(1)), which with 1(1) is a side of the tree's most
+    # balanced edge (1, 2), whose states close the tree's table
     made = {"indexes": 0, "dps": 0, "nonshaped": 0}
     folds = Counter()
     init, dp = trees.SideIndex.__init__, partitions._u_table_dp
@@ -152,7 +153,7 @@ def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
         return nonshaped(*args)
 
     def counted_fold(self, cid):
-        folds[self.index.text(cid)] += 1
+        folds[self.index.classes.text(cid)] += 1
         return fold(self, cid)
 
     monkeypatch.setattr(trees.SideIndex, "__init__", counted_init)
@@ -162,8 +163,8 @@ def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
     f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
     assert main(["count", f, "--j", "3", "--expr", "2,2,1"]) == 0
     assert capsys.readouterr().out == "partitions=6\nnon-shaped=2\nshaped=4\n"
-    assert made == {"indexes": 1, "dps": 1, "nonshaped": 1}
-    assert folds == {"1": 1, "1(1)": 1}
+    assert made == {"indexes": 1, "dps": 0, "nonshaped": 1}
+    assert folds == {"1": 1, "1(1)": 1, "1(1(1))": 1}
 
 
 def test_situations_and_m_count(tmp_path, capsys):

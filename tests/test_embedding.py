@@ -272,7 +272,7 @@ def test_check_good_reads_one_class_table_across_trees():
     ids = []
     for t in batch:
         idx = SideIndex(t)
-        ids.append({idx.code(c): c for _, _, c in idx.shapes()})
+        ids.append({idx.classes.code(c): c for _, _, c in idx.shapes()})
     shared = ids[0].keys() & ids[1].keys()
     assert shared and any(ids[0][code] != ids[1][code] for code in shared)
     # indexed on one table, the same shapes get one id in both trees
@@ -308,7 +308,8 @@ def test_one_class_table_shares_ids_exactly_across_trees(batch):
     codes_of: dict = {}
     for t in batch:
         idx, fresh = SideIndex(t, table), SideIndex(t)
-        assert [table.code(c) for *_, c in idx.sides] == [fresh.code(c) for *_, c in fresh.sides]
+        fresh_code = fresh.classes.code
+        assert [table.code(c) for *_, c in idx.sides] == [fresh_code(c) for *_, c in fresh.sides]
         for (e, r, vertices), (f, root, c) in zip(brute_sides(t), idx.sides, strict=True):
             assert (e, r) == (f, root)
             code = rooted_code(cut_side(t, vertices, r))

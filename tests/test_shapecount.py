@@ -369,8 +369,10 @@ def test_contracted_tree_counts_the_splits_over_components(t, rng):
 def test_each_situation_and_class_table_is_built_once(monkeypatch):
     # every j-expression of one tree at one j: the walk lists the occurring
     # situations without an occurrence product per situation, and there is
-    # one U-table DP, the tree's, and one state fold for each distinct
-    # component class of the situations that occur
+    # no U-table DP: one state fold for each distinct component class of the
+    # situations that occur, and for the sides of the tree's most balanced
+    # edge (0, 1), 1(1(2,2(2))) and 2(2(1,2)), and the class 1(2,2(2)) under
+    # the first, whose states close the tree's table
     t = random_weighted_tree(9, 2, random.Random(19))
     w, j = t.total_weight, 7
     calls = {"ie": 0, "dps": 0}
@@ -387,7 +389,7 @@ def test_each_situation_and_class_table_is_built_once(monkeypatch):
         return dp(tree)
 
     def counted_fold(self, cid):
-        folds[self.index.code(cid)] += 1
+        folds[self.index.classes.text(cid)] += 1
         return fold(self, cid)
 
     tbl = build_containment_table(t, hanging_classes(t))
@@ -401,5 +403,6 @@ def test_each_situation_and_class_table_is_built_once(monkeypatch):
     assert got == {e: count_shaped_partitions(t, j, e) for e in expressions}
     assert any(len(e.parts) > 2 for e in expressions) and len(classes) >= 2
     assert len(sits) > len(tbl.occurring_of(j))
-    assert calls == {"ie": 0, "dps": 1}
-    assert folds == Counter(dict.fromkeys(classes, 1))
+    assert calls == {"ie": 0, "dps": 0}
+    split = {"1(1(2,2(2)))", "2(2(1,2))", "1(2,2(2))"}
+    assert folds == Counter(dict.fromkeys({c.text for c in classes} | split, 1))

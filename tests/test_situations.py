@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utrees import partitions, situations
+from utrees.embedding import good_encode
 from utrees.errors import (
     InternalInconsistencyError,
     MissingTableEntryError,
@@ -38,6 +39,7 @@ from helpers import (
     build_containment_forest,
     count_forest_assignments,
     cut_side,
+    encodable_trees,
     occurrences_by_all_pair_sets,
     occurrences_by_enumeration,
     occurring_by_enumeration,
@@ -468,7 +470,7 @@ def test_orbit_compile_matches_all_pair_sets(t, rng):
 
 
 def _tree_dp_tables(idx, ids) -> dict:
-    return {c: u_polynomial(idx.rep(c).tree).counts for c in ids}
+    return {c: u_polynomial(idx.classes.rep(c).tree).counts for c in ids}
 
 
 @settings(max_examples=60, deadline=None)
@@ -522,10 +524,12 @@ def test_class_tables_larger_than_the_tree():
 
 def test_threads_sharing_a_table_read_the_single_thread_tables(monkeypatch):
     # the class states share one packing; its fields are handed out under
-    # the fold lock, so threads never give two part weights one field
+    # the fold lock, so threads never give two part weights one field; the
+    # tree's own table (WHOLE_TREE) closes two of those states
     t = random_weighted_tree(16, 2**40, random.Random(7))
     classes = hanging_classes(t)
-    want = {c: build_containment_table(t, classes)._u_table(c) for c in classes.ids}
+    ids = [*classes.ids, WHOLE_TREE]
+    want = {c: build_containment_table(t, classes)._u_table(c) for c in ids}
     shared = build_containment_table(t, classes)
     fold, unlocked = situations.ContainmentTable._fold, []
 
@@ -536,7 +540,7 @@ def test_threads_sharing_a_table_read_the_single_thread_tables(monkeypatch):
 
     monkeypatch.setattr(situations.ContainmentTable, "_fold", locked_fold)
     # more threads than cores, half reading heaviest first
-    orders = [list(classes.ids), list(reversed(classes.ids))] * 2
+    orders = [ids, ids[::-1]] * 2
     got: list[dict] = [{} for _ in orders]
     start = threading.Barrier(len(orders))
 
@@ -569,7 +573,7 @@ def test_classes_above_the_fold_size_take_the_tree_dp(monkeypatch):
     want = _tree_dp_tables(classes.index, classes.ids)
     for c, rep in zip(classes.ids, classes):
         assert tbl.u_table(rep.code) == want[c]
-    size = classes.index.size
+    size = classes.index.classes.size
     assert max(size[c] for c in classes.ids) > situations.FOLD_MAX_SIZE
     assert tbl.states and all(size[c] <= situations.FOLD_MAX_SIZE for c in tbl.states)
     # from its end, the 20-vertex unit path's state holds every partition
@@ -582,6 +586,82 @@ def test_classes_above_the_fold_size_take_the_tree_dp(monkeypatch):
     monkeypatch.setattr(situations, "FOLD_MAX_SIZE", k)
     with pytest.raises(ResourceBoundError, match="cap is 1000"):
         build_containment_table(t, classes).u_table(code)
+
+
+# The tree's own table closes the states of the two side classes of its most
+# balanced edge in one merge; a tree with one vertex, or whose most balanced
+# edge has a side of more than FOLD_MAX_SIZE vertices, takes the tree DP.
+
+
+# weights up to 2^40 that repeat, so that 20-vertex tables stay small;
+# distinct ones are drawn on up to 14 vertices
+_LARGE_WEIGHTS = (1, 2, 2**40 - 1, 2**40)
+
+
+def _large_weights(t: WeightedTree) -> WeightedTree:
+    return WeightedTree(t.n, t.edges, tuple(_LARGE_WEIGHTS[w - 1] for w in t.weights))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        weighted_trees(max_n=20, max_weight=3),
+        weighted_trees(max_n=20, max_weight=len(_LARGE_WEIGHTS)).map(_large_weights),
+        weighted_trees(max_n=14, max_weight=2**40),
+        encodable_trees(max_n=8).map(lambda t: good_encode(t).t_prime),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_tree_table_equals_the_tree_dp(t, rng):
+    t = random_relabeling(t, rng)
+    classes = hanging_classes(t)
+    tbl = build_containment_table(t, classes)
+    # some class states may be there already, folded for class tables
+    for c in rng.sample(classes.ids, rng.randint(0, len(classes.ids))):
+        tbl._u_table(c)
+    got = tbl.u_table(WHOLE_TREE)
+    assert got == u_polynomial(t).counts
+    if t.n <= 12:
+        assert got == u_polynomial(t, "brute").counts
+
+
+def _two_stars(k: int) -> WeightedTree:
+    # centres 0 and k, each with k - 1 leaves, joined by the edge (0, k)
+    edges = [(0, k)] + [(0, v) for v in range(1, k)] + [(k, v) for v in range(k + 1, 2 * k)]
+    return WeightedTree(2 * k, tuple(edges), (2,) + (1,) * (2 * k - 1))
+
+
+def test_tree_table_takes_the_tree_dp_only_past_the_fold_size(monkeypatch):
+    # the 20-vertex unit star's sides have 1 and 19 vertices, two 10-vertex
+    # stars split 10/10, and one vertex has no edge
+    trees = [star(1, *[1] * 19), _two_stars(10), WeightedTree(1, (), (5,))]
+    want = [u_polynomial(t).counts for t in trees]
+    dps = []
+    dp = partitions._u_table_dp
+
+    def counted_dp(t):
+        dps.append(t.n)
+        return dp(t)
+
+    monkeypatch.setattr(partitions, "_u_table_dp", counted_dp)
+    got = [build_containment_table(t, hanging_classes(t)).u_table(WHOLE_TREE) for t in trees]
+    assert got == want
+    assert dps == [20, 1]
+
+
+def test_both_tree_table_routes_refuse_past_the_state_cap(monkeypatch):
+    # the star's table comes from the tree DP, the two stars' from their
+    # sides' states; each refuses a cap one below its table's size
+    trees = [star(1, *[1] * 19), _two_stars(10)]
+    for t, size in [(t, len(u_polynomial(t).counts)) for t in trees]:
+        tbl = build_containment_table(t, hanging_classes(t))
+        monkeypatch.setattr(partitions, "DP_STATE_CAP", size - 1)
+        with pytest.raises(ResourceBoundError, match=f"cap is {size - 1}$"):
+            tbl.u_table(WHOLE_TREE)
+        with pytest.raises(ResourceBoundError, match=f"cap is {size - 1}$"):
+            u_polynomial(t)
+        monkeypatch.setattr(partitions, "DP_STATE_CAP", size)
+        assert tbl.u_table(WHOLE_TREE) == u_polynomial(t).counts
 
 
 def test_shaped_queries_build_no_representative_tree():

@@ -463,11 +463,11 @@ def test_representatives_build_their_tree_only_when_read(t, rng):
 def test_index_texts_match_the_walk(t, data):
     idx = SideIndex(t)
     extra = rooted(t, data.draw(st.integers(0, t.n - 1)))
-    idx.add(extra)
-    for c in range(len(idx.keys)):
+    idx.classes.add(extra)
+    for c in range(len(idx.classes.keys)):
         # a copy of the code that the index never gave a text to
-        assert idx.text(c) == render_code(CanonicalCode(idx.code(c).code))
-    assert idx.text(idx.add(extra)) == render_rooted(extra)
+        assert idx.classes.text(c) == render_code(CanonicalCode(idx.classes.code(c).code))
+    assert idx.classes.text(idx.classes.add(extra)) == render_rooted(extra)
 
 
 def test_only_the_index_seeds_a_code():
@@ -495,11 +495,11 @@ def test_side_index_matches_bfs_oracle(t, rng):
         for e, root, c in idx.sides:
             vertices, side = oracle[(e, root)]
             assert idx.vertices(e, root) == vertices
-            rep = idx.rep(c)
-            # the representative is born with idx.code(c), so walk a copy
+            rep = idx.classes.rep(c)
+            # the representative is born with idx.classes.code(c), so walk a copy
             # that is not, as well as the BFS side
             fresh = RootedWeightedTree(rep.tree, rep.root)
-            assert idx.code(c) == rooted_code(side) == rooted_code(fresh)
+            assert idx.classes.code(c) == rooted_code(side) == rooted_code(fresh)
             # built by the preorder builder, which skips the constructor's
             # checks: rebuilding through them changes nothing
             assert rep.tree == WeightedTree(rep.n, rep.tree.edges, rep.tree.weights)
@@ -507,7 +507,7 @@ def test_side_index_matches_bfs_oracle(t, rng):
         for (c, a), (d, b) in combinations(sides, 2):
             assert (c == d) == brute_rooted_isomorphic(a, b)
         reps = dict(sides)
-        inside = idx.inside(list(reps))
+        inside = idx.classes.inside(list(reps))
         for d, host in reps.items():
             for c, s in reps.items():
                 assert inside[d][c] == brute_hang_count(s, host)
@@ -614,16 +614,16 @@ def test_side_index_sizes_and_weights_add_up(data):
     idx = SideIndex(t)
     for e, r, c in idx.sides:
         vertices = idx.vertices(e, r)
-        assert idx.size[c] == len(vertices)
-        assert idx.weight[c] == sum(t.weights[v] for v in vertices)
+        assert idx.classes.size[c] == len(vertices)
+        assert idx.classes.weight[c] == sum(t.weights[v] for v in vertices)
     # classes interned after construction: the host and another tree, rooted
     for host in (t, other):
         extra = rooted(host, data.draw(st.integers(0, host.n - 1)))
-        c = idx.add(extra)
-        assert (idx.size[c], idx.weight[c]) == (host.n, host.total_weight)
-    for c, (weight, kids) in enumerate(idx.keys):
-        assert idx.size[c] == 1 + sum(idx.size[k] for k in kids)
-        assert idx.weight[c] == weight + sum(idx.weight[k] for k in kids)
+        c = idx.classes.add(extra)
+        assert (idx.classes.size[c], idx.classes.weight[c]) == (host.n, host.total_weight)
+    for c, (weight, kids) in enumerate(idx.classes.keys):
+        assert idx.classes.size[c] == 1 + sum(idx.classes.size[k] for k in kids)
+        assert idx.classes.weight[c] == weight + sum(idx.classes.weight[k] for k in kids)
 
 
 # repeated weights, so that classes recur, up to 2^40
@@ -644,9 +644,9 @@ def test_add_interns_any_rooted_tree(data):
     plain = [rooted(h, data.draw(st.integers(0, h.n - 1))) for h in (t, other)]
     plain += [code_to_rooted_tree(rooted_code(r)) for r in reps]
     for x in list(reps) + plain:
-        idx = SideIndex(t)
-        c = idx.add(x)
-        assert (idx.code(c), idx.size[c], idx.weight[c]) == (rooted_code(x), x.n, x.weight)
+        classes = SideIndex(t).classes
+        c = classes.add(x)
+        assert (classes.code(c), classes.size[c], classes.weight[c]) == (rooted_code(x), x.n, x.weight)
         # a second add finds the class it made: the same id, no new class
-        made = len(idx.keys)
-        assert idx.add(x) == c and len(idx.keys) == made
+        made = len(classes.keys)
+        assert classes.add(x) == c and len(classes.keys) == made
