@@ -122,6 +122,8 @@ class ExpressionCounts:
         for e, c in self.counts.items():
             if not isinstance(e, Expression):
                 raise TreeInputError(f"count table keys must be Expressions, got {e!r:.40}")
+            if type(c) is not int:
+                raise TreeInputError(f"count table counts must be ints, got {c!r:.40}")
             table[e.parts] = c
         object.__setattr__(self, "counts", _CountsView(table))
 
@@ -129,13 +131,12 @@ class ExpressionCounts:
         return self.counts.get(e, 0)
 
     def canonical_text(self) -> str:
-        """Byte-stable serialization: header plus descending-lex entries."""
+        """Byte-stable serialization: header, then descending-lex entries by `%d` templates."""
         table = self.counts._table
         keys = sorted(table, reverse=True)
-        # each distinct part is formatted once
-        text = {p: str(p) for p in set().union(*keys)}
+        line = [",".join(["%d"] * i) + ": %d" for i in range(max(map(len, keys), default=0) + 1)]
         lines = [f"n={self.n} w={self.total_weight} z={self.z_exponent}"]
-        lines += [f"{','.join([text[p] for p in parts])}: {table[parts]}" for parts in keys]
+        lines += [line[len(parts)] % (*parts, table[parts]) for parts in keys]
         return "\n".join(lines) + "\n"
 
 
@@ -246,9 +247,9 @@ def _merge(pk: _Packing, st: dict[int, int], state: dict[int, int], weight: int)
     """A vertex's state `st` merged with the state of one more child, whose
     subtree weighs `weight`: each pair of entries either cuts the edge to the
     child, closing its open part, or keeps it, joining that part to the
-    vertex's own open one."""
+    vertex's own open one.  The key that would pass DP_STATE_CAP is refused."""
     kids = _cut_keys(pk, state, weight)
-    parts = pk.parts
+    parts, cap = pk.parts, DP_STATE_CAP
     nxt: dict[int, int] = {}
     get = nxt.get
     for kp, cp in st.items():
@@ -256,16 +257,20 @@ def _merge(pk: _Packing, st: dict[int, int], state: dict[int, int], weight: int)
             m = cp * cc
             # cut the edge: the child's open part closes
             k = kp + cut
-            nxt[k] = get(k, 0) + m
+            x = get(k)
+            if x is None and len(nxt) == cap:
+                raise _state_cap_error("U-table DP", cap + 1, "states")
+            nxt[k] = (x or 0) + m
             if k not in parts:
                 parts[k] = tuple(sorted(parts[kp] + parts[cut], reverse=True))
             # keep the edge: the child's open part joins the vertex's
             k = kp + kc
-            nxt[k] = get(k, 0) + m
+            x = get(k)
+            if x is None and len(nxt) == cap:
+                raise _state_cap_error("U-table DP", cap + 1, "states")
+            nxt[k] = (x or 0) + m
             if k not in parts:
                 parts[k] = tuple(sorted(parts[kp] + tc, reverse=True))
-        if len(nxt) > DP_STATE_CAP:
-            raise _state_cap_error("U-table DP", len(nxt), "states")
     return nxt
 
 
@@ -282,32 +287,50 @@ def _close(pk: _Packing, st: dict[int, int], weight: int) -> dict[tuple[int, ...
 
 def _close_merge(pk: _Packing, st: dict[int, int], weight_v: int,
                  state: dict[int, int], weight: int) -> dict[tuple[int, ...], int]:
-    """A tree's U-table: _merge of its root's state `st`, of weight `weight_v`
-    so far, and its last child's `state`, of weight `weight`, with the root's
-    open part op closed too, so each key is new there and named at once."""
+    """A tree's U-table from its root's state `st` (weight `weight_v` so far) and
+    its last child's `state` (weight `weight`).  As in deletion-contraction, the
+    edge between them is cut, adding the product of the two sides' closed tables,
+    each summed first, or kept; keys are named once and refused past DP_STATE_CAP."""
     kids = _cut_keys(pk, state, weight)
-    one, parts, low = pk.one, pk.parts, pk.low
+    one, parts, low, cap = pk.one, pk.parts, pk.low, DP_STATE_CAP
+    closed: dict[int, list] = {}  # the root's side closed: key -> [parts, unsorted; count]
+    for kp, cp in st.items():
+        op = weight_v - (kp & low)
+        closed.setdefault(kp + (one.get(op) or pk.field(op)), [(op,) + parts[kp], 0])[1] += cp
+    cuts: dict[int, int] = {}  # the child's side closed
+    for kc, tc, oc, cut, cc in kids:
+        cuts[cut] = cuts.get(cut, 0) + cc
     nxt: dict[int, int] = {}
     get = nxt.get
     names = []
-    for kp, cp in st.items():
-        op = weight_v - (kp & low)
-        kpo = kp + (one.get(op) or pk.field(op))
-        for kc, tc, oc, cut, cc in kids:
-            m = cp * cc
-            k = kpo + cut
+    for kr, (tr, cr) in closed.items():
+        for kc, cc in cuts.items():
+            k = kr + kc
             x = get(k)
             if x is None:
-                names.append(tuple(sorted(parts[kp] + (op,) + parts[cut], reverse=True)))
-            nxt[k] = (x or 0) + m
+                if len(nxt) == cap:
+                    raise _state_cap_error("U-table DP", cap + 1, "states")
+                name = [*parts[kc], *tr]  # sorted in place: no copy
+                name.sort(reverse=True)
+                names.append(tuple(name))
+                nxt[k] = cr * cc
+            else:
+                nxt[k] = x + cr * cc
+    for kp, cp in st.items():  # keep the edge: the two open parts join
+        op = weight_v - (kp & low)
+        for kc, tc, oc, cut, cc in kids:
             s = op + oc
             k = kp + kc + (one.get(s) or pk.field(s))
             x = get(k)
             if x is None:
-                names.append(tuple(sorted(parts[kp] + tc + (s,), reverse=True)))
-            nxt[k] = (x or 0) + m
-        if len(nxt) > DP_STATE_CAP:
-            raise _state_cap_error("U-table DP", len(nxt), "states")
+                if len(nxt) == cap:
+                    raise _state_cap_error("U-table DP", cap + 1, "states")
+                name = [s, *tc, *parts[kp]]
+                name.sort(reverse=True)
+                names.append(tuple(name))
+                nxt[k] = cp * cc
+            else:
+                nxt[k] = x + cp * cc
     return dict(zip(names, nxt.values()))
 
 
@@ -467,9 +490,10 @@ def _evaluate(t: WeightedTree, x: int, f: Callable[[int], int]) -> int:
 
     A vertex's state maps the weight of the part still open at it to the sum,
     over the edge subsets within its subtree that leave it that open weight,
-    of x**|A| times f of each closed part.
+    of x**|A| times f of each closed part.  The tree is rooted at vertex 0:
+    a state holds at most w(T) open weights whatever the root.
     """
-    order, children = _child_lists(t)
+    parent, order = _rooted_parent_order(t, 0)
     f_of: dict[int, int] = {}
 
     def closed(st: dict[int, int]) -> int:
@@ -480,26 +504,22 @@ def _evaluate(t: WeightedTree, x: int, f: Callable[[int], int]) -> int:
             total += val * f_of[o]
         return total
 
-    states: list[dict[int, int] | None] = [None] * t.n
-    for v in reversed(order):
-        st = {t.weights[v]: 1}
-        for c in children[v]:
-            kid = states[c]
-            states[c] = None
-            cut = closed(kid)  # the child's open part closes
-            nxt: dict[int, int] = {}
-            get = nxt.get
-            for op, vp in st.items():
-                nxt[op] = get(op, 0) + vp * cut
-                xv = x * vp  # keep the edge: the child's open part joins v's
-                for oc, vc in kid.items():
-                    o = op + oc
-                    nxt[o] = get(o, 0) + xv * vc
-            if len(nxt) > DP_STATE_CAP:
-                raise _state_cap_error("evaluator DP", len(nxt), "open weights")
-            st = nxt
-        states[v] = st
-    return closed(states[order[0]])
+    states: list[dict[int, int] | None] = [{w: 1} for w in t.weights]
+    for c in reversed(order[1:]):  # each vertex after everything below it
+        kid, states[c] = states[c], None
+        cut = closed(kid)  # the child's open part closes
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for op, vp in states[parent[c]].items():
+            nxt[op] = get(op, 0) + vp * cut
+            xv = x * vp  # keep the edge: the child's open part joins its parent's
+            for oc, vc in kid.items():
+                o = op + oc
+                nxt[o] = get(o, 0) + xv * vc
+        if len(nxt) > DP_STATE_CAP:
+            raise _state_cap_error("evaluator DP", len(nxt), "open weights")
+        states[parent[c]] = nxt
+    return closed(states[0])
 
 
 def _q_integers(k: int, q: int, w: int) -> Callable[[int], int]:

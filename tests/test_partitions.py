@@ -21,6 +21,7 @@ from utrees.partitions import (
     q_integer,
     u_polynomial,
 )
+from utrees.situations import WHOLE_TREE, build_containment_table, hanging_classes
 from utrees.trees import WeightedTree, centroids, relabel
 
 from helpers import (
@@ -177,6 +178,24 @@ def test_canonical_text_sorts_parts_as_integers():
     assert u.canonical_text() == "n=3 w=20 z=-17\n20: 1\n19,1: 1\n10,10: 1\n10,9,1: 1\n"
 
 
+def test_unit_three_path_table():
+    # rooted at its centre, the entry 2,1 comes once from the closing edge's
+    # cut half (the other edge kept) and once from its kept half (the other
+    # edge cut)
+    u = u_polynomial(path(1, 1, 1))
+    assert dict(u.counts) == {E(3): 1, E(2, 1): 2, E(1, 1, 1): 1}
+    assert u.canonical_text() == "n=3 w=3 z=0\n3: 1\n2,1: 2\n1,1,1: 1\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(weighted_trees(max_n=12, max_weight=3), weighted_trees(max_n=12, max_weight=2**40)))
+def test_closing_merge_matches_brute_and_the_containment_table(t):
+    u = u_polynomial(t)
+    assert u.counts == u_polynomial(t, "brute").counts
+    assert u.canonical_text() == sorted_pairs_text(u)
+    assert build_containment_table(t, hanging_classes(t)).u_table(WHOLE_TREE) == u.counts
+
+
 @settings(max_examples=100, deadline=None)
 @given(weighted_trees(max_n=9, max_weight=15))
 def test_canonical_text_matches_sorted_pairs_rendering(t):
@@ -218,6 +237,12 @@ def test_counts_view_contract(t):
 def test_counts_need_expression_keys():
     with pytest.raises(TreeInputError, match="Expressions"):
         ExpressionCounts(2, 2, 0, {(2,): 1, (1, 1): 1})
+
+
+def test_counts_must_be_exact_ints():
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TreeInputError, match="counts must be ints"):
+            ExpressionCounts(2, 2, 0, {E(2): 1, E(1, 1): bad})
 
 
 @st.composite
@@ -511,6 +536,30 @@ def test_dp_state_cap(monkeypatch):
     monkeypatch.setattr(partitions, "DP_STATE_CAP", 1000)
     with pytest.raises(ResourceBoundError, match="cap is 1000"):
         u_polynomial(path(*([1] * 60)))
+
+
+def test_merge_refuses_the_key_that_would_pass_the_cap(monkeypatch):
+    # with the cap at half a unit 30-path's largest state below the closing
+    # merge, a merge below it refuses the key that would pass the cap
+    t = path(*([1] * 30))
+    sizes = []
+    merge = partitions._merge
+
+    def counted_merge(*args):
+        st = merge(*args)
+        sizes.append(len(st))
+        return st
+
+    monkeypatch.setattr(partitions, "_merge", counted_merge)
+    u_polynomial(t)
+    top = max(sizes)
+    assert top < len(u_polynomial(t).counts)
+    monkeypatch.setattr(partitions, "_merge", merge)
+    cap = top // 2
+    monkeypatch.setattr(partitions, "DP_STATE_CAP", cap)
+    with pytest.raises(ResourceBoundError, match=f"reached {cap + 1} states at one vertex; cap is {cap}$") as info:
+        u_polynomial(t)
+    assert info.traceback[-1].name == "_merge"
 
 
 def test_enumeration_caps_name_the_cap_and_the_size():

@@ -664,6 +664,17 @@ def test_both_tree_table_routes_refuse_past_the_state_cap(monkeypatch):
         assert tbl.u_table(WHOLE_TREE) == u_polynomial(t).counts
 
 
+def test_state_cap_refuses_at_its_crossing(monkeypatch):
+    # the two stars' closing merge makes 74 keys; with the cap at 20 both
+    # routes refuse the 21st as it would be added, not after a whole row
+    t = _two_stars(10)
+    tbl = build_containment_table(t, hanging_classes(t))
+    monkeypatch.setattr(partitions, "DP_STATE_CAP", 20)
+    for call in (lambda: u_polynomial(t), lambda: tbl.u_table(WHOLE_TREE)):
+        with pytest.raises(ResourceBoundError, match="reached 21 states at one vertex; cap is 20$"):
+            call()
+
+
 def test_shaped_queries_build_no_representative_tree():
     t = random_weighted_tree(12, 3, random.Random(12))
     classes = hanging_classes(t)
