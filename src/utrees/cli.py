@@ -73,9 +73,9 @@ def cmd_upoly(args) -> int:
 def cmd_shapes(args) -> int:
     idx = SideIndex(_load_one(args.file).tree())
     sides = idx.shapes()
-    codes = idx.classes.compose([c for _, _, c in sides])
-    for ((u, v), root, c), code in zip(sides, codes):
-        print(f"edge=({u},{v}) root={root} weight={idx.classes.weight[c]} shape={code.text}")
+    texts = idx.classes.texts([c for _, _, c in sides])
+    for ((u, v), root, c), text in zip(sides, texts):
+        print(f"edge=({u},{v}) root={root} weight={idx.classes.weight[c]} shape={text}")
     return 0
 
 

@@ -507,17 +507,19 @@ def _evaluate(t: WeightedTree, x: int, f: Callable[[int], int]) -> int:
     states: list[dict[int, int] | None] = [{w: 1} for w in t.weights]
     for c in reversed(order[1:]):  # each vertex after everything below it
         kid, states[c] = states[c], None
-        cut = closed(kid)  # the child's open part closes
-        nxt: dict[int, int] = {}
-        get = nxt.get
+        cut = closed(kid)
+        # cut the edge: the child's open part closes; the parent's (within the cap) stay
+        nxt = {op: vp * cut for op, vp in states[parent[c]].items()}
         for op, vp in states[parent[c]].items():
-            nxt[op] = get(op, 0) + vp * cut
             xv = x * vp  # keep the edge: the child's open part joins its parent's
             for oc, vc in kid.items():
                 o = op + oc
-                nxt[o] = get(o, 0) + xv * vc
-        if len(nxt) > DP_STATE_CAP:
-            raise _state_cap_error("evaluator DP", len(nxt), "open weights")
+                if o in nxt:
+                    nxt[o] += xv * vc
+                elif len(nxt) == DP_STATE_CAP:
+                    raise _state_cap_error("evaluator DP", DP_STATE_CAP + 1, "open weights")
+                else:
+                    nxt[o] = xv * vc
         states[parent[c]] = nxt
     return closed(states[0])
 

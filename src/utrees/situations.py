@@ -372,8 +372,8 @@ def _check_target(target: int, total: int):
 class HangingClasses(tuple):
     """Representatives of hanging classes, as a tuple; `index` is the
     SideIndex they were interned on and `ids` their class ids there, in
-    tuple order.  The representatives themselves hold no reference to the
-    index."""
+    tuple order.  Each representative holds its class table, off which it
+    reads its code and text (see ClassTable.rep), but not the index."""
 
     index: SideIndex
     ids: tuple[int, ...]

@@ -6,26 +6,23 @@ and the edge sides of one tree are indexed on a table by a SideIndex; each
 lives as long as its caller keeps it.  One table can hold the classes of
 many trees, so equal ids mean isomorphic across all of them.  A rooted
 tree computes its canonical code once and keeps it, and a code its nested
-text.  A table makes the codes of many classes, each with its text, in
-one children-first walk.  A side representative is born with only what
-its table knows: its code and text, weight and vertex count, so reading
-any of them takes no walk; its tree is built from the code by the
-preorder builder (valid by construction) on the first read of `.tree`,
-and kept.  A hanging subtree holds its tree's index and reads its vertex
-set off it only when asked, so `shapes` costs what it returns: one class
-walk for all its sides, and a representative per class.  Vertex ids are
-0-based and carry no meaning: every observable output (codes, counts) is
-invariant under relabeling.
+text.  A table makes the codes, or the texts, of many classes in one
+children-first walk.  A side representative holds its table and reads
+its code and text off it; its tree is built from the code on the first
+read of `.tree`.  A hanging subtree reads its vertex set off its tree's
+index only when asked, so `shapes` costs what it returns: one text walk
+for all its sides, and a representative per class.  Vertex ids are
+0-based and carry no meaning: every observable output is invariant under
+relabeling.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter
 
 from .errors import TreeInputError
 
@@ -106,12 +103,19 @@ class RootedWeightedTree:
             raise TreeInputError(f"root {self.root} out of range")
 
     def __getattr__(self, name):
-        # called only for a missing attribute: a side representative holds
-        # its code until something reads its tree, which is then built once
-        if name == "tree" and "code" in vars(self):
-            tree = vars(self)["tree"] = _preorder_tree(self.code.code)
+        # called only for a missing attribute: a representative builds its tree when read
+        held = vars(self)
+        if name == "tree" and ("_class" in held or "code" in held):
+            tree = held["tree"] = _preorder_tree(self.code.code)
             return tree
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self):
+        # a copy of a representative keeps its code, not its table
+        state = vars(self).copy()
+        if state.pop("_class", None):
+            state["code"] = self.code
+        return state
 
     @cached_property
     def n(self) -> int:
@@ -123,11 +127,13 @@ class RootedWeightedTree:
 
     @cached_property
     def code(self) -> CanonicalCode:
-        """The canonical code (see rooted_code), walked once and kept; not a
-        field, so equality and hashing ignore it.  A child's code is dropped
-        once its parent's is built: the codes still waiting belong to
-        disjoint subtrees, so together they hold at most 2n ints.
-        """
+        """The canonical code (see rooted_code), kept; not a field, so
+        equality and hashing ignore it.  A representative reads it off its
+        table; any other tree walks once, dropping each child's code once its
+        parent's is built, so the codes waiting hold at most 2n ints."""
+        held = vars(self).get("_class")
+        if held:
+            return held[0].code(held[1])
         tree = self.tree
         parent, order = _rooted_parent_order(tree, self.root)
         waiting: list[list[tuple[int, ...]]] = [[] for _ in range(tree.n)]
@@ -138,6 +144,12 @@ class RootedWeightedTree:
             if parent[v] >= 0:
                 waiting[parent[v]].append(flat)
         return CanonicalCode(flat)
+
+    @cached_property
+    def text(self) -> str:
+        """render_rooted's text, kept; a representative reads it off its table."""
+        held = vars(self).get("_class")
+        return held[0].text(held[1]) if held else self.code.text
 
 
 @dataclass(frozen=True, order=True)
@@ -158,13 +170,9 @@ class CanonicalCode:
     @cached_property
     def text(self) -> str:
         """The nested text of render_code, walked off the flat code once and
-        kept, unless the ClassTable that made the code gave it; not a field,
-        so equality, order and hashing ignore it."""
+        kept, unless the ClassTable that made the code has made its class's
+        text; not a field, so equality, order and hashing ignore it."""
         return _code_text(self.code)
-
-
-# a composed code's flat sequence, and its text
-_flat, _text = attrgetter("code"), attrgetter("text")
 
 
 def _code_text(flat: tuple[int, ...]) -> str:
@@ -190,13 +198,10 @@ class HangingSubtree:
     in the host tree's ids.  `component` is the representative of the
     side's rooted class (see ClassTable.rep): a standalone tree rooted at 0,
     isomorphic to the side but not numbered like it, and the same object
-    for every isomorphic side of one call.  It carries its class code, the
-    code's text, its weight and its vertex count, so rooted_code,
-    render_rooted, `.weight` and `.n` read them without a walk; its tree is
-    built from the code on the first read of `.tree`.  `index` is the
-    host's SideIndex, which the side holds so that `vertices` is read on
-    demand.  Equality and hashing cover the edge, the root and the
-    component; the repr leaves out the index and the vertices.
+    for every isomorphic side of one call.  `index` is the host's
+    SideIndex, off which `vertices` is read on demand.  Equality and
+    hashing cover the edge, the root and the component; the repr leaves
+    out the index and the vertices.
     """
 
     detach_edge: Edge
@@ -244,9 +249,8 @@ def rooted_code(t: RootedWeightedTree) -> CanonicalCode:
 
     A vertex contributes (weight, child count) followed by its child codes
     sorted in code order; the flattening is prefix-parseable, so two codes
-    are equal exactly for isomorphic rooted weighted trees.  The tree walks
-    for it at most once (RootedWeightedTree.code).
-    """
+    are equal exactly for isomorphic rooted weighted trees.  It is made at
+    most once per tree (RootedWeightedTree.code)."""
     return t.code
 
 
@@ -354,9 +358,9 @@ class ClassTable:
     trees share an id exactly when they are isomorphic (Aho, Hopcroft &
     Ullman 1974), and a class's children have smaller ids than it.  Per
     class, `keys`, `size` and `weight` hold the key, the vertex count and
-    the weight, which the interning walks measure.  Codes, each born with
-    its text, are made on request in one walk (see compose), and
-    representatives on request (see rep); both are kept.
+    the weight, which the interning walks measure.  Codes and texts are
+    made on request, each in one walk (see compose and texts), and kept;
+    representatives are made on request (see rep).
     """
 
     def __init__(self):
@@ -365,7 +369,7 @@ class ClassTable:
         self.weight: list[int] = []
         self._ids: dict[tuple[int, tuple[int, ...]], int] = {}
         self._codes: dict[int, CanonicalCode] = {}
-        self._reps: dict[int, RootedWeightedTree] = {}
+        self._texts: dict[int, str] = {}
 
     def _intern(self, root_weight: int, kids: tuple[int, ...], size: int, weight: int) -> int:
         """Id of the class (root weight, sorted child ids); a new class
@@ -419,16 +423,16 @@ class ClassTable:
         order; each equals rooted_code of every tree of its class.  The
         missing ones, and those under them, are made in one children-first
         walk: a class lists its root weight and child count, then its
-        children's codes in code order, and is born with its text (see
-        render_code), its children's texts joined in that order."""
-        codes = self._codes
+        children's codes in code order, and a code gets its text if made."""
+        codes, texts = self._codes, self._texts
         todo = {c for c in ids if c not in codes}
         if todo:
             for c in self._below(todo, codes):
                 weight, kids = self.keys[c]
-                subs = sorted([codes[k] for k in kids], key=_flat)
-                code = codes[c] = CanonicalCode(tuple(chain((weight, len(kids)), *map(_flat, subs))))
-                vars(code)["text"] = f"{weight}({','.join(map(_text, subs))})" if kids else str(weight)
+                subs = sorted([codes[k].code for k in kids])
+                code = codes[c] = CanonicalCode(tuple(chain((weight, len(kids)), *subs)))
+                if c in texts:
+                    vars(code)["text"] = texts[c]
         return [codes[c] for c in ids]
 
     def code(self, cid: int) -> CanonicalCode:
@@ -436,20 +440,43 @@ class ClassTable:
         code = self._codes.get(cid)
         return self.compose([cid])[0] if code is None else code
 
+    def texts(self, ids) -> list[str]:
+        """Nested texts of the classes in the sequence `ids` (see
+        render_code), in its order, the missing ones made as in compose but
+        with no code: children go in (root weight, child count) order, code
+        order unless distinct children tie there, and only those are ordered
+        by their flat codes, whose comparison never recurses."""
+        keys, codes, texts = self.keys, self._codes, self._texts
+        todo = {c for c in ids if c not in texts}
+        order = self._below(todo, texts) if todo else []
+        head = {k: (keys[k][0], len(keys[k][1])) for c in order for k in keys[c][1]}.__getitem__
+        for c in order:
+            w, kids = keys[c]
+            if len(kids) > 1 and len(set(map(head, kids))) < len(set(kids)):
+                self.compose(kids)
+                kids = sorted(kids, key=lambda k: codes[k].code)
+            else:
+                kids = sorted(kids, key=head)
+            text = texts[c] = f"{w}({','.join([texts[k] for k in kids])})" if kids else str(w)
+            if c in codes:  # a code the table has made carries its text
+                vars(codes[c])["text"] = text
+        return [texts[c] for c in ids]
+
     def text(self, cid: int) -> str:
-        """Nested text of a class (see render_code), born with its code."""
-        return self.code(cid).text
+        """Nested text of a class (see texts)."""
+        return self.texts([cid])[0]
 
     def rep(self, cid: int) -> RootedWeightedTree:
-        """Representative tree of a class, rooted at 0.  It is born with
-        what the table knows: the class code and its text (which only the
-        table knows are canonical), the weight and the vertex count.  Its
-        tree is built from the code on the first read of `.tree`."""
-        if cid not in self._reps:
-            rep = object.__new__(RootedWeightedTree)
-            vars(rep).update(root=0, code=self.code(cid), n=self.size[cid], weight=self.weight[cid])
-            self._reps[cid] = rep
-        return self._reps[cid]
+        """A representative tree of a class, rooted at 0, born with its
+        weight, vertex count, text if made, and the table, off which it reads
+        its code and text when first asked; its tree is built from the code
+        on the first read of `.tree`.  The table keeps none, so that the two
+        make no reference cycle and a table dies with its last holder."""
+        rep = object.__new__(RootedWeightedTree)
+        vars(rep).update(root=0, n=self.size[cid], weight=self.weight[cid], _class=(self, cid))
+        if cid in self._texts:
+            vars(rep)["text"] = self._texts[cid]
+        return rep
 
     def inside(self, hosts) -> dict[int, Counter]:
         """Per host class, how many of its vertices root a tree of each class.
@@ -484,26 +511,22 @@ class SideIndex:
         self._span = [(0, 0)] * tree.n
         for i, v in enumerate(pre):
             self._span[v] = (i, i + size[down[v]])
-        kids: list[list[int]] = [[] for _ in pre]
-        for v in pre[1:]:
-            kids[parent[v]].append(v)
         # up[v]: the side of (parent[v], v) that holds the parent, rooted
-        # there; it is the rest of the tree, so its vertex count and weight
-        # are the tree's less those of the side below v
-        n, total = tree.n, tree.total_weight
+        # there: the rest of the tree, so its vertex count and weight are the
+        # tree's less the side below v's, and its children's classes are the
+        # parent's down key less v's class, plus the parent's own up side
+        n, total, keys = tree.n, tree.total_weight, classes.keys
         up = [0] * n
-        for p in pre:
-            if not kids[p]:
-                continue
-            nbrs = sorted([down[c] for c in kids[p]] + ([up[p]] if p else []))
-            made: dict[int, int] = {}
-            for c in kids[p]:
-                d = down[c]
-                if d not in made:
-                    i = bisect_left(nbrs, d)
-                    others = tuple(nbrs[:i] + nbrs[i + 1 :])
-                    made[d] = intern(tree.weights[p], others, n - size[d], total - weight[d])
-                up[c] = made[d]
+        made: dict[tuple[int, int], int] = {}
+        for c in pre[1:]:
+            p, d = parent[c], down[c]
+            if (p, d) not in made:
+                nbrs = list(keys[down[p]][1])
+                nbrs.remove(d)
+                if p:
+                    insort(nbrs, up[p])
+                made[p, d] = intern(tree.weights[p], tuple(nbrs), n - size[d], total - weight[d])
+            up[c] = made[p, d]
         sides = []
         for e in tree.edges:
             u, v = e
@@ -546,9 +569,14 @@ class SideIndex:
 
 
 def _hanging(idx: SideIndex, sides) -> tuple[HangingSubtree, ...]:
+    # one walk makes all texts; representatives, born with theirs, are fetched once
     classes = idx.classes
-    classes.compose([c for _, _, c in sides])
-    return tuple(HangingSubtree(e, r, classes.rep(c), idx) for e, r, c in sides)
+    classes.texts([c for _, _, c in sides])
+    reps = {c: classes.rep(c) for c in {c for _, _, c in sides}}
+    out = tuple(object.__new__(HangingSubtree) for _ in sides)
+    for h, (e, r, c) in zip(out, sides):
+        vars(h).update(detach_edge=e, root=r, component=reps[c], index=idx)
+    return out
 
 
 def hanging_subtrees(t: WeightedTree) -> tuple[HangingSubtree, ...]:
@@ -570,15 +598,12 @@ def alpha_vector(t: WeightedTree) -> tuple[int, ...]:
 
 
 def render_code(code: CanonicalCode) -> str:
-    """Compact nested text of a rooted code, e.g. '1(1,2(1))'.
-
-    Children print in code order.  The text is kept on the code: a code
-    from a ClassTable representative already holds the table's composed
-    text, and any other code reads its text off the flat sequence once.
-    """
+    """Compact nested text of a rooted code, e.g. '1(1,2(1))', children in
+    code order; kept on the code (see CanonicalCode.text)."""
     return code.text
 
 
 def render_rooted(t: RootedWeightedTree) -> str:
-    """Compact nested text for a rooted weighted tree, e.g. '1(1,2(1))'."""
-    return render_code(rooted_code(t))
+    """Compact nested text for a rooted weighted tree, e.g. '1(1,2(1))'; a
+    side representative reads it off its table without a code."""
+    return t.text

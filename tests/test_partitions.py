@@ -562,6 +562,21 @@ def test_merge_refuses_the_key_that_would_pass_the_cap(monkeypatch):
     assert info.traceback[-1].name == "_merge"
 
 
+def test_evaluator_refuses_the_open_weight_that_would_pass_the_cap(monkeypatch):
+    # each leaf of a new power-of-two weight doubles the centre's open
+    # weights: 64 after six leaves, 128 after seven, so a cap of 100 is
+    # passed inside the seventh merge, at its 101st open weight
+    t = star(1, *(2**i for i in range(10)))
+    monkeypatch.setattr(partitions, "DP_STATE_CAP", 100)
+    for evaluate in (lambda: q_dichromate(t, 1, 2, 2), lambda: q_chromatic(t, 2, 2)):
+        with pytest.raises(ResourceBoundError, match="reached 101 open weights at one vertex; cap is 100$"):
+            evaluate()
+    # six leaves make exactly 64 open weights, which a cap of 64 admits
+    six = star(1, *(2**i for i in range(6)))
+    monkeypatch.setattr(partitions, "DP_STATE_CAP", 64)
+    assert q_dichromate(six, 1, 2, 2) == brute_subset_sum(six, 1, lambda w: 1 + 2**w)
+
+
 def test_enumeration_caps_name_the_cap_and_the_size():
     with pytest.raises(
         ResourceBoundError,

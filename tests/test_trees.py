@@ -13,7 +13,8 @@ from utrees.embedding import good_encode
 from utrees.errors import TreeInputError
 from utrees.generate import random_encodable_tree, random_relabeling, random_weighted_tree
 from utrees.io import parse_rooted_spec
-from utrees.situations import Situation, hanging_classes
+from utrees.shapecount import shaped_count
+from utrees.situations import WHOLE_TREE, Situation, build_containment_table, hanging_classes
 from utrees.trees import (
     CanonicalCode,
     ClassTable,
@@ -482,6 +483,105 @@ def test_only_the_index_seeds_a_code():
         bare = RootedWeightedTree(rep.tree, rep.root)
         assert "code" in vars(rep) and "code" not in vars(bare)
         assert rep == bare and hash(rep) == hash(bare)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    weighted_trees(max_n=14, max_weight=1)
+    | weighted_trees(max_n=14, max_weight=2)
+    | encodable_trees(max_n=7).map(lambda t: good_encode(t).t_prime),
+    st.randoms(use_true_random=False),
+)
+def test_side_texts_match_the_walked_codes(t, rng):
+    # weights <= 2 give siblings that tie on root weight and child count
+    for tree in (t, random_relabeling(t, rng)):
+        idx = SideIndex(tree)
+        texts = idx.classes.texts([c for _, _, c in idx.sides])
+        for (e, r, _), text in zip(idx.sides, texts):
+            side = cut_side(tree, idx.vertices(e, r), r)
+            assert text == trees._code_text(rooted_code(side).code)
+
+
+def test_deep_spider_sides_render_without_recursion():
+    # the legs of 1,200 and 1,201 unit vertices tie on root weight and child
+    # count all the way down, so the centre's sides order them by codes,
+    # whose nested form would recurse past the interpreter's limit
+    edges, nxt = [], 1
+    for length in (1200, 1201, 3):
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    t = WeightedTree(nxt, tuple(edges), (1,) * nxt)
+    sides = shapes(t)
+    texts = [render_rooted(h.component) for h in sides]
+    # every side but the three leaves' and their complements
+    assert len(sides) == 2 * (t.n - 1) - 6
+    at_centre = [i for i, h in enumerate(sides) if h.root == 0]
+    assert len(at_centre) == 3
+    for i in at_centre + list(range(0, len(sides), 251)):
+        h = sides[i]
+        side = cut_side(t, h.vertices, h.root)
+        assert texts[i] == trees._code_text(rooted_code(side).code)
+        assert rooted_code(h.component) == rooted_code(side)
+
+
+def test_shapes_of_encodings_make_no_code(monkeypatch):
+    made = []
+    init = CanonicalCode.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(CanonicalCode, "__init__", counted)
+    rng = random.Random(29)
+    for n in (5, 12, 20, 33):
+        t = good_encode(random_encodable_tree(n, rng)).t_prime
+        texts = [render_rooted(h.component) for h in shapes(t)]
+        assert texts and not made
+    # a code is made once something reads it
+    rooted_code(shapes(t)[0].component)
+    assert made
+
+
+def test_shaped_pipeline_makes_no_text(monkeypatch):
+    def no_text(*args):
+        raise AssertionError("a class text was made")
+
+    monkeypatch.setattr(ClassTable, "text", no_text)
+    monkeypatch.setattr(ClassTable, "texts", no_text)
+    t = random_weighted_tree(12, 3, random.Random(12))
+    classes = hanging_classes(t)
+    tbl = build_containment_table(t, classes)
+    w = t.total_weight
+    queries = 0
+    for j in range(1, (w + 1) // 2 + 1):
+        for e in tbl.u_table(WHOLE_TREE):
+            if e.is_j_expression(j, w):
+                shaped_count(t, j, e, tbl)
+                queries += 1
+    assert queries > 100
+    # the table's codes were made without their texts
+    assert tbl.ids and not any("text" in vars(code) for code in tbl.ids)
+    assert not any("text" in vars(rep) for rep in classes)
+
+
+def test_copied_representatives_keep_their_code_not_their_table():
+    t = random_weighted_tree(12, 3, random.Random(30))
+    # shapes' representatives are born with texts, hanging_classes' with
+    # codes only; neither has read its code or built its tree yet
+    for comps in ([h.component for h in shapes(t)], list(hanging_classes(t))):
+        assert comps and not any("code" in vars(c) or "tree" in vars(c) for c in comps)
+        for rep in comps:
+            pickled = pickle.dumps(rep)
+            assert b"ClassTable" not in pickled
+            for other in (pickle.loads(pickled), copy.deepcopy(rep)):
+                assert "_class" not in vars(other)
+                assert not any(isinstance(v, ClassTable) for v in vars(other).values())
+                assert vars(other)["code"] == rooted_code(rep)
+                assert other == rep and hash(other) == hash(rep)
+                assert render_rooted(other) == render_rooted(rep)
 
 
 @settings(max_examples=60, deadline=None)
