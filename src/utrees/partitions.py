@@ -14,7 +14,7 @@ from itertools import product
 from typing import Callable, Iterable
 
 from .errors import ResourceBoundError, TreeInputError
-from .trees import WeightedTree, _centroids_of, _rooted_parent_order, _subtree_sizes
+from .trees import ClassTable, WeightedTree, _centroids_of, _rooted_parent_order
 
 BRUTE_VERTEX_CAP = 22
 DP_STATE_CAP = 500_000
@@ -33,6 +33,8 @@ class Expression:
     parts: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.parts) is not tuple:
+            raise TreeInputError(f"expression parts must be a tuple, got {type(self.parts).__name__}")
         for p in self.parts:
             if type(p) is not int or p < 1:
                 raise TreeInputError(f"expression parts must be positive ints: {p!r}")
@@ -174,25 +176,6 @@ def _u_table_brute(t: WeightedTree) -> dict[tuple[int, ...], int]:
     return table
 
 
-def _child_lists(t: WeightedTree) -> tuple[list[int], list[list[int]]]:
-    """Preorder of t rooted at centroids(t)[0], and each vertex's children.
-
-    The root's children come smallest subtree first, so that the largest
-    child's states meet the accumulated ones only in the root's last merge.
-    """
-    parent, order = _rooted_parent_order(t, 0)
-    size = _subtree_sizes(parent, order)
-    root = _centroids_of(t, parent, size)[0]
-    if root:  # otherwise the walk from vertex 0 serves
-        parent, order = _rooted_parent_order(t, root)
-        size = _subtree_sizes(parent, order)
-    children: list[list[int]] = [[] for _ in range(t.n)]
-    for v in reversed(order[1:]):
-        children[parent[v]].append(v)
-    children[root].sort(key=size.__getitem__)
-    return order, children
-
-
 def _state_cap_error(dp: str, size: int, what: str) -> ResourceBoundError:
     return ResourceBoundError(f"{dp} reached {size} {what} at one vertex; cap is {DP_STATE_CAP}")
 
@@ -274,10 +257,36 @@ def _merge(pk: _Packing, st: dict[int, int], state: dict[int, int], weight: int)
     return nxt
 
 
-def _close(pk: _Packing, st: dict[int, int], weight: int) -> dict[tuple[int, ...], int]:
-    """The U-table of a tree of the given weight from its root's state: the
-    root's open part closes, and keys that meet there are summed."""
-    parts, low = pk.parts, pk.low
+def _fold(pk: _Packing, classes: ClassTable, states: dict | None, ids) -> dict:
+    """Fill the memo `states` (class id -> DP state) for the classes `ids`
+    and those under them, children first, and return it.  A class's state
+    maps the parts closed below its root, packed (see _Packing), to a count:
+    its child classes' states merged into {0: 1}.  With `states` None the
+    memo is fresh, and drops a state not in `ids` after its last reader."""
+    keys, weight = classes.keys, classes.weight
+    keep = states is not None
+    states = states if keep else {}
+    order = classes._below([c for c in ids if c not in states], states)
+    spent: dict[int, list[int]] = {}  # with no memo: a class -> the states it reads last
+    if not keep:
+        for k, c in {k: c for c in order for k in keys[c][1]}.items():
+            if k not in ids:
+                spent.setdefault(c, []).append(k)
+    for c in order:
+        st = {0: 1}
+        for k in keys[c][1]:
+            st = _merge(pk, st, states[k], weight[k])
+        states[c] = st
+        for k in spent.get(c, ()):
+            del states[k]
+    return states
+
+
+def _close(pk: _Packing, classes: ClassTable, states: dict, cid: int) -> dict[tuple[int, ...], int]:
+    """The U-table of class `cid`, its state folded into the memo `states`
+    and its root's open part closed; keys that meet there are summed."""
+    st = _fold(pk, classes, states, (cid,))[cid]
+    parts, low, weight = pk.parts, pk.low, classes.weight[cid]
     table: dict[tuple[int, ...], int] = {}
     for k, c in st.items():
         name = tuple(sorted(parts[k] + (weight - (k & low),), reverse=True))
@@ -334,31 +343,36 @@ def _close_merge(pk: _Packing, st: dict[int, int], weight_v: int,
     return dict(zip(names, nxt.values()))
 
 
+def _close_edge(pk: _Packing, classes: ClassTable, states: dict | None,
+                a: int, b: int) -> dict[tuple[int, ...], int]:
+    """The U-table of a tree from the classes `a` and `b` of its two sides
+    at one edge, each rooted at its end: both folded (see _fold), then
+    closed across the edge in one merge."""
+    states = _fold(pk, classes, states, (a, b))
+    weight = classes.weight
+    return _close_merge(pk, states[a], weight[a], states[b], weight[b])
+
+
 def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
     """Descending part tuple -> number of edge subsets with those component weights.
 
-    A vertex's state maps the multiset of parts closed in its subtree, packed
-    into one int (see _Packing), to a count, and is its children's states
-    merged into {0: 1} one by one (_merge); the root's last merge is
-    _close_merge, which closes the root's open part and names the keys.
+    t is interned on a fresh ClassTable below centroids(t)[0] (by the walk
+    from vertex 0 when that is the centroid), and the table is closed across
+    the edge from there to a largest branch (_close_edge).
     """
-    order, children = _child_lists(t)
-    root = order[0]
-    if not children[root]:
-        return {(t.weights[root],): 1}
-    pk = _Packing(t.n, t.total_weight)
-    weight = list(t.weights)  # a vertex's subtree weight, once its children are merged
-    states: list[dict[int, int] | None] = [None] * t.n
-    last = children[root][-1]
-    for v in reversed(order):
-        st = {0: 1}
-        for c in children[v]:
-            if c == last:  # the root comes last, and this is its last child
-                return _close_merge(pk, st, weight[v], states[c], weight[c])
-            st = _merge(pk, st, states[c], weight[c])
-            states[c] = None
-            weight[v] += weight[c]
-        states[v] = st
+    if t.n == 1:
+        return {t.weights: 1}
+    classes = ClassTable()
+    parent, _, down = classes._down_pass(t, 0)
+    size, weight = classes.size, classes.weight
+    root = _centroids_of(t, parent, [size[c] for c in down])[0]
+    if root:
+        down = classes._down_pass(t, root)[2]
+    kids = list(classes.keys[down[root]][1])
+    b = max(kids, key=size.__getitem__)
+    kids.remove(b)
+    a = classes._intern(t.weights[root], tuple(kids), t.n - size[b], t.total_weight - weight[b])
+    return _close_edge(_Packing(t.n, t.total_weight), classes, None, a, b)
 
 
 def u_polynomial(t: WeightedTree, mode: str = "dp") -> ExpressionCounts:

@@ -18,16 +18,16 @@ lists the situations of a weight that occur by a walk that reads the same
 factors, heaviest component first, and cuts a branch at its first zero
 factor; it memoises two things: per weight, those occurring situations with
 what `shapecount` reads of them, and U-tables, its tree's and those of the
-component classes.  A class's U-table is closed off its DP state, its child
-classes' states merged by the tree DP's own kernel, so each class state is
-built once per table and no such class table builds a tree; the tree's is
-closed off the states of its most balanced edge's two sides.  A class of
-more than FOLD_MAX_SIZE vertices, whose state from its own root can outgrow
-the tree DP's, takes the tree DP on its representative, and so does a tree
-with such a side there (or no edge).  Inside a table every count, state and
-U-table is keyed by the class id of the tree's SideIndex; rooted codes
-appear only at `count` and `u_table`.  A table built from `hanging_classes(t)`
-for the same t reuses the index those classes were interned on.
+component classes.  U-tables come from the class fold that u_polynomial
+runs too (partitions._fold): a class's state is its child classes' states
+merged, built once per table, and a class's table is closed off it; the
+tree's is closed off the states of its most balanced edge's two sides, of
+any size.  A class of more than FOLD_MAX_SIZE vertices, whose state from
+its own root can outgrow the one from its centroid, takes u_polynomial on
+its representative.  Inside a table every count, state and U-table is keyed
+by the class id of the tree's SideIndex; rooted codes appear only at
+`count` and `u_table`.  A table built from `hanging_classes(t)` for the same
+t reuses the index those classes were interned on.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import (
     TreeInputError,
 )
 from .generate import multisets_of_weight
-from .partitions import Expression, _close, _close_merge, _CountsView, _merge, _Packing, u_polynomial
+from .partitions import Expression, _close, _close_edge, _CountsView, _Packing, u_polynomial
 from .trees import (
     CanonicalCode,
     RootedWeightedTree,
@@ -66,13 +66,13 @@ MAX_SITUATIONS = 10_000
 # host key for the whole input tree in tables and assignment counting
 WHOLE_TREE = None
 
-# the most vertices of a class whose U-table a containment table closes off
-# a folded state: such a class has at most 2^15 edge subsets, so its state
-# has at most 32,768 keys.  A larger class takes its table from the tree DP
-# on its representative, whose centroid root keeps the states small where a
-# fold from the class's own root does not: on a long unit path the root
-# state outgrows DP_STATE_CAP while the U-table stays under it (CHANGES.md
-# keeps the measurements)
+# the most vertices of a component class whose U-table a containment table
+# closes off its state folded from its own root, which has at most 2^15 edge
+# subsets and so at most 32,768 keys.  A larger class takes u_polynomial on
+# its representative, which folds from its centroid: from a long unit path's
+# end the state outgrows DP_STATE_CAP while the U-table stays under it
+# (CHANGES.md keeps the measurements).  The tree's own table needs no bound:
+# its most balanced edge's sides are rooted at a centroid and its neighbour
 FOLD_MAX_SIZE = 16
 
 # held while a containment table folds class states: the states of a table
@@ -148,12 +148,12 @@ class ContainmentTable:
     U-tables, the tree's (key WHOLE_TREE) and those of the component classes
     of the occurring situations (key: the class id).  A class of at most
     FOLD_MAX_SIZE vertices has its U-table closed off its DP state in
-    `states`: its child classes' states merged into {0: 1} by the tree DP's
-    own merge kernel, and the tree's off two such states (see _tree_table);
-    a larger class, or a tree with a larger side there, takes the tree DP.
-    The states share one packing, sized by the largest class or tree in the
-    index, and are filled under a module lock, so that two threads never
-    hand out one packed field twice.  The memos live exactly as long as the
+    `states`, folded by partitions._fold as u_polynomial folds its own, and
+    the tree's is closed off two such states (see _tree_table); only a
+    larger class takes u_polynomial on its representative.  The states share
+    one packing, sized by the largest class or tree in the index, and are
+    filled under a module lock, so that two threads never hand out one
+    packed field twice.  The memos live exactly as long as the
     caller keeps the table.
     """
 
@@ -311,55 +311,36 @@ class ContainmentTable:
     def _u_table(self, cid: int | None) -> Mapping[Expression, int]:
         """The U-table of the tree (WHOLE_TREE, see _tree_table) or of class
         `cid`, memoised: a class of at most FOLD_MAX_SIZE vertices is closed
-        off its state, the rest come from the tree DP."""
+        off its folded state, a larger one comes from u_polynomial."""
         out = self.u_tables.get(cid)
         if out is None:
-            idx = self.index
+            classes = self.index.classes
             if cid is WHOLE_TREE:
                 out = self._tree_table()
-            elif idx.classes.size[cid] > FOLD_MAX_SIZE:
-                out = u_polynomial(idx.classes.rep(cid).tree).counts
+            elif classes.size[cid] > FOLD_MAX_SIZE:
+                out = u_polynomial(classes.rep(cid).tree).counts
             else:
                 with _FOLD_LOCK:
-                    self._fold_missing([cid])
-                    out = _CountsView(_close(self._packing, self.states[cid], idx.classes.weight[cid]))
+                    out = _CountsView(_close(self._packing, classes, self.states, cid))
             self.u_tables[cid] = out
         return out
 
     def _tree_table(self) -> Mapping[Expression, int]:
         """The tree's U-table, closed in one merge off the states of the two
-        sides of its most balanced edge (the first in `index.sides`); with no
-        edge, or a side there past FOLD_MAX_SIZE vertices, by the tree DP."""
-        idx, st = self.index, self.states
-        sides, size, weight = idx.sides, idx.classes.size, idx.classes.weight
-        a = b = None
-        top = FOLD_MAX_SIZE + 1
+        sides of its most balanced edge (the first in `index.sides`); a tree
+        with one vertex has the one entry."""
+        idx = self.index
+        sides, size = idx.sides, idx.classes.size
+        a, top = None, idx.tree.n  # every side has fewer vertices than the tree
         for i in range(0, len(sides), 2):  # the two sides of each edge in turn
             x, y = sides[i][2], sides[i + 1][2]
             m = max(size[x], size[y])
             if m < top:
                 top, a, b = m, x, y
         if a is None:
-            return u_polynomial(idx.tree).counts
+            return _CountsView({idx.tree.weights: 1})
         with _FOLD_LOCK:
-            self._fold_missing([a, b])
-            return _CountsView(_close_merge(self._packing, st[a], weight[a], st[b], weight[b]))
-
-    def _fold_missing(self, ids):
-        """Fold the states of the classes `ids` that have none yet, and of
-        the classes under them, children first; the caller holds _FOLD_LOCK."""
-        states = self.states
-        for c in self.index.classes._below([c for c in ids if c not in states], states):
-            self._fold(c)
-
-    def _fold(self, cid: int):
-        """The DP state of class `cid`: the states of its child classes,
-        which must be there, merged into {0: 1} one by one."""
-        classes, pk, states = self.index.classes, self._packing, self.states
-        st = {0: 1}
-        for k in classes.keys[cid][1]:
-            st = _merge(pk, st, states[k], classes.weight[k])
-        states[cid] = st
+            return _CountsView(_close_edge(self._packing, idx.classes, self.states, a, b))
 
 
 def _check_target(target: int, total: int):

@@ -306,14 +306,6 @@ def _trusted_tree(n: int, edges: tuple[Edge, ...], weights: tuple[int, ...]) -> 
     return tree
 
 
-def _subtree_sizes(parent: list[int], order: list[int]) -> list[int]:
-    """Vertex count of each vertex's subtree, from a parent array and preorder."""
-    size = [1] * len(order)
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    return size
-
-
 def _centroids_of(t: WeightedTree, parent: list[int], size: list[int]) -> list[int]:
     """centroids(t), from t's parent array and subtree sizes under vertex 0.
 
@@ -337,7 +329,10 @@ def _centroids_of(t: WeightedTree, parent: list[int], size: list[int]) -> list[i
 def centroids(t: WeightedTree) -> list[int]:
     """The one or two vertices minimizing the largest component of T - v."""
     parent, order = _rooted_parent_order(t, 0)
-    return _centroids_of(t, parent, _subtree_sizes(parent, order))
+    size = [1] * t.n  # each vertex's subtree, children before parents
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return _centroids_of(t, parent, size)
 
 
 def free_code(t: WeightedTree) -> CanonicalCode:
@@ -388,15 +383,23 @@ class ClassTable:
         vertex when the tree hangs from `root`.  Each subtree's vertex
         count and weight add up along the walk, children before parents."""
         parent, pre = _rooted_parent_order(tree, root)
+        w, ids, keys = tree.weights, self._ids, self.keys
         down = [0] * tree.n
         size = [1] * tree.n
-        weight = list(tree.weights)
+        weight = list(w)
         below: list[list[int]] = [[] for _ in pre]
         for v in reversed(pre):
-            down[v] = self._intern(tree.weights[v], tuple(sorted(below[v])), size[v], weight[v])
+            key = (w[v], tuple(sorted(below[v])))
+            d = ids.get(key)
+            if d is None:  # _intern, inlined: a fresh table interns most vertices
+                d = ids[key] = len(keys)
+                keys.append(key)
+                self.size.append(size[v])
+                self.weight.append(weight[v])
+            down[v] = d
             p = parent[v]
             if p >= 0:
-                below[p].append(down[v])
+                below[p].append(d)
                 size[p] += size[v]
                 weight[p] += weight[v]
         return parent, pre, down

@@ -363,6 +363,36 @@ def table_evaluate(t: WeightedTree, x: int, f) -> int:
     return total
 
 
+def vertex_dp_table(t: WeightedTree) -> dict[Expression, int]:
+    """The U-table of t by a plain per-vertex DP rooted at vertex 0, with no
+    packed keys and no classes.  A vertex's state maps (the descending tuple
+    of parts closed below it, the weight of its open part) to a count; each
+    child's state is merged into its parent's by cutting the edge between
+    them, which closes the child's open part, or by keeping it, which joins
+    the two open parts."""
+    parent, order = [-1] * t.n, [0]
+    for v in order:
+        for u in t.adjacency[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    states = [{((), w): 1} for w in t.weights]
+    for c in reversed(order[1:]):
+        merged: dict[tuple[tuple[int, ...], int], int] = {}
+        for (closed, open_weight), count in states[parent[c]].items():
+            for (below, child_open), child_count in states[c].items():
+                cut = (tuple(sorted(closed + below + (child_open,), reverse=True)), open_weight)
+                kept = (tuple(sorted(closed + below, reverse=True)), open_weight + child_open)
+                for key in (cut, kept):
+                    merged[key] = merged.get(key, 0) + count * child_count
+        states[parent[c]] = merged
+    table: dict[Expression, int] = {}
+    for (closed, open_weight), count in states[0].items():
+        e = Expression.of(closed + (open_weight,))
+        table[e] = table.get(e, 0) + count
+    return table
+
+
 def sorted_pairs_text(u: ExpressionCounts) -> str:
     """Canonical text rendered by sorting (parts, count) pairs and formatting
     every part anew."""

@@ -138,7 +138,7 @@ def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
     folds = Counter()
     init, dp = trees.SideIndex.__init__, partitions._u_table_dp
     nonshaped = shapecount._nonshaped
-    fold = situations.ContainmentTable._fold
+    fold = partitions._fold
 
     def counted_init(self, tree):
         made["indexes"] += 1
@@ -152,14 +152,16 @@ def test_count_builds_one_table(tmp_path, capsys, monkeypatch):
         made["nonshaped"] += 1
         return nonshaped(*args)
 
-    def counted_fold(self, cid):
-        folds[self.index.classes.text(cid)] += 1
-        return fold(self, cid)
+    def counted_fold(pk, classes, states, ids):
+        before = set(states)
+        states = fold(pk, classes, states, ids)
+        folds.update(classes.text(c) for c in states.keys() - before)
+        return states
 
     monkeypatch.setattr(trees.SideIndex, "__init__", counted_init)
     monkeypatch.setattr(partitions, "_u_table_dp", counted_dp)
     monkeypatch.setattr(shapecount, "_nonshaped", counted_nonshaped)
-    monkeypatch.setattr(situations.ContainmentTable, "_fold", counted_fold)
+    monkeypatch.setattr(partitions, "_fold", counted_fold)
     f = write_doc(tmp_path, "p5.json", path(1, 1, 1, 1, 1))
     assert main(["count", f, "--j", "3", "--expr", "2,2,1"]) == 0
     assert capsys.readouterr().out == "partitions=6\nnon-shaped=2\nshaped=4\n"

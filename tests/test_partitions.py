@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from utrees.partitions import (
     u_polynomial,
 )
 from utrees.situations import WHOLE_TREE, build_containment_table, hanging_classes
-from utrees.trees import WeightedTree, centroids, relabel
+from utrees.trees import SideIndex, WeightedTree, centroids, relabel
 
 from helpers import (
     ConnectedPartition,
@@ -31,8 +32,10 @@ from helpers import (
     encodable_trees,
     path,
     sorted_pairs_text,
+    spider,
     star,
     table_evaluate,
+    vertex_dp_table,
     weighted_trees,
 )
 
@@ -269,24 +272,37 @@ def _rooting_cases():
     yield WeightedTree(7, ((0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)), (1, 2, 1, 1, 3, 1, 2))
 
 
+def _closing_edge(t: WeightedTree) -> tuple:
+    """The rooted codes of the two side classes of each edge that
+    u_polynomial(t) closes across, and u_polynomial(t)."""
+    closed, close_edge = [], partitions._close_edge
+
+    def spy(pk, classes, states, a, b):
+        closed.append((classes.code(a), classes.code(b)))
+        return close_edge(pk, classes, states, a, b)
+
+    with mock.patch.object(partitions, "_close_edge", spy):
+        return closed, u_polynomial(t)
+
+
 def _check_rooting_independent(t: WeightedTree):
     brute = u_polynomial(t, "brute")
-    assert u_polynomial(t).counts == brute.counts
-    assert u_polynomial(t).canonical_text() == brute.canonical_text()
+    closed, dp = _closing_edge(t)
+    assert dp.counts == brute.counts
+    assert dp.canonical_text() == brute.canonical_text()
     for k in (1, 2):
         assert q_chromatic(t, k, 2, "subsets") == q_chromatic(t, k, 2, "colourings")
         assert potts_dichromate(t, 1, k, 2, 2, "subsets") == potts_dichromate(t, 1, k, 2, 2, "colourings")
         assert q_dichromate(t, 1, k, 2) == brute_subset_sum(t, 1, lambda p: q_integer(k, 2**p))
-    order, children = partitions._child_lists(t)
-    root = order[0]
-    assert root == centroids(t)[0] and sorted(order) == list(range(t.n))
-    sizes = []
-    for c in children[root]:
-        below = [c]
-        for v in below:
-            below.extend(children[v])
-        sizes.append(len(below))
-    assert sizes == sorted(sizes)
+    # the closing edge joins centroids(t)[0] to a largest branch: its sides
+    # are the centroid's and that branch's
+    root, idx = centroids(t)[0], SideIndex(t)
+    code, size, sides = idx.classes.code, idx.classes.size, idx.sides
+    at_root = [(x[2], y[2]) if x[1] == root else (y[2], x[2])
+               for x, y in zip(sides[::2], sides[1::2]) if root in x[0]]
+    largest = max([size[b] for _, b in at_root], default=0)
+    assert len(closed) == (t.n > 1)
+    assert set(closed) <= {(code(a), code(b)) for a, b in at_root if size[b] == largest}
     return brute.canonical_text()
 
 
@@ -307,6 +323,59 @@ def test_rooting_independence_fixed_trees():
         text = _check_rooting_independent(t)
         for _ in range(3):
             assert _check_rooting_independent(random_relabeling(t, rng)) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        weighted_trees(max_n=24, max_weight=3),
+        weighted_trees(max_n=24, max_weight=2).map(
+            lambda t: WeightedTree(t.n, t.edges, tuple(2**40 if w == 2 else w for w in t.weights))
+        ),
+        weighted_trees(max_n=12, max_weight=2**40),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_u_polynomial_equals_the_vertex_dp(t, rng):
+    # the plain per-vertex DP shares no code with u_polynomial, whose class
+    # fold the containment tables share
+    want = vertex_dp_table(t)
+    assert u_polynomial(t).counts == want
+    assert u_polynomial(random_relabeling(t, rng)).counts == want
+
+
+def test_u_polynomial_folds_each_leg_class_once(monkeypatch):
+    # the spider's six legs of three vertices share one class, as do their
+    # tails: the leaf, 2-leg and 3-leg classes take 0, 1 and 1 merges, and
+    # the centre less one leg 5, where a merge per vertex below the root
+    # took n - 2 = 17; a tail's state is dropped once its leg is folded, so
+    # the fold hands back only the two sides' states
+    t = spider(6, 3)
+    merges, folded = [], []
+    merge, fold = partitions._merge, partitions._fold
+
+    def counted_merge(*args):
+        merges.append(args)
+        return merge(*args)
+
+    def kept_fold(pk, classes, states, ids):
+        states = fold(pk, classes, states, ids)
+        folded.append((set(states), set(ids)))
+        return states
+
+    monkeypatch.setattr(partitions, "_merge", counted_merge)
+    monkeypatch.setattr(partitions, "_fold", kept_fold)
+    assert u_polynomial(t).counts == vertex_dp_table(t)
+    assert t.n == 19 and len(merges) == 7
+    assert len(folded) == 1 and folded[0][0] == folded[0][1] and len(folded[0][1]) == 2
+
+
+def test_expression_refuses_parts_that_are_not_a_tuple():
+    # a sorted list is refused as a list, not as unsorted
+    for parts in ([2, 1], [], range(2, 0, -1)):
+        with pytest.raises(TreeInputError, match="^expression parts must be a tuple, got"):
+            Expression(parts)
+    assert Expression.of([1, 2]).parts == (2, 1)
 
 
 def test_count_partitions():

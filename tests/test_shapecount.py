@@ -378,7 +378,7 @@ def test_each_situation_and_class_table_is_built_once(monkeypatch):
     calls = {"ie": 0, "dps": 0}
     folds = Counter()
     ie, dp = situations.occurrences_by_inclusion_exclusion, partitions._u_table_dp
-    fold = situations.ContainmentTable._fold
+    fold = partitions._fold
 
     def counted_ie(*args):
         calls["ie"] += 1
@@ -388,9 +388,11 @@ def test_each_situation_and_class_table_is_built_once(monkeypatch):
         calls["dps"] += 1
         return dp(tree)
 
-    def counted_fold(self, cid):
-        folds[self.index.classes.text(cid)] += 1
-        return fold(self, cid)
+    def counted_fold(pk, classes, states, ids):
+        before = set(states)
+        states = fold(pk, classes, states, ids)
+        folds.update(classes.text(c) for c in states.keys() - before)
+        return states
 
     tbl = build_containment_table(t, hanging_classes(t))
     sits = enumerate_situations(t, j)
@@ -398,7 +400,7 @@ def test_each_situation_and_class_table_is_built_once(monkeypatch):
     expressions = [e for e in u_polynomial(t).counts if e.is_j_expression(j, w)]
     monkeypatch.setattr(situations, "occurrences_by_inclusion_exclusion", counted_ie)
     monkeypatch.setattr(partitions, "_u_table_dp", counted_dp)
-    monkeypatch.setattr(situations.ContainmentTable, "_fold", counted_fold)
+    monkeypatch.setattr(partitions, "_fold", counted_fold)
     got = {e: shaped_count(t, j, e, tbl) for e in expressions}
     assert got == {e: count_shaped_partitions(t, j, e) for e in expressions}
     assert any(len(e.parts) > 2 for e in expressions) and len(classes) >= 2

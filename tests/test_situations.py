@@ -47,6 +47,7 @@ from helpers import (
     rooted,
     spider,
     star,
+    vertex_dp_table,
     weighted_trees,
 )
 
@@ -465,12 +466,12 @@ def test_orbit_compile_matches_all_pair_sets(t, rng):
 
 
 # The table's class U-tables come from one DP state per class, built from
-# the states of its children; each must equal the tree DP on the class's
-# representative.
+# the states of its children; each must equal the plain per-vertex DP on the
+# class's representative, which shares no code with the fold.
 
 
 def _tree_dp_tables(idx, ids) -> dict:
-    return {c: u_polynomial(idx.classes.rep(c).tree).counts for c in ids}
+    return {c: vertex_dp_table(idx.classes.rep(c).tree) for c in ids}
 
 
 @settings(max_examples=60, deadline=None)
@@ -517,7 +518,7 @@ def test_class_tables_larger_than_the_tree():
     comps = [rooted(star(1, 4, 1, 1, 1, 1), 0), rooted(path(1, 1, 1, 1, 1), 0)]
     tbl = build_containment_table(t, comps)
     for code in tbl.ids:
-        assert tbl.u_table(code) == u_polynomial(code_to_rooted_tree(code).tree).counts
+        assert tbl.u_table(code) == vertex_dp_table(code_to_rooted_tree(code).tree)
     star_table = tbl.u_table(rooted_code(comps[0]))
     assert star_table[Expression.of([5, 4])] == star_table[Expression.of([5, 1, 1, 1, 1])] == 1
 
@@ -531,14 +532,14 @@ def test_threads_sharing_a_table_read_the_single_thread_tables(monkeypatch):
     ids = [*classes.ids, WHOLE_TREE]
     want = {c: build_containment_table(t, classes)._u_table(c) for c in ids}
     shared = build_containment_table(t, classes)
-    fold, unlocked = situations.ContainmentTable._fold, []
+    fold, unlocked = partitions._fold, []
 
-    def locked_fold(self, cid):
+    def locked_fold(pk, classes, states, ids):
         if not situations._FOLD_LOCK.locked():
-            unlocked.append(cid)
-        return fold(self, cid)
+            unlocked.append(ids)
+        return fold(pk, classes, states, ids)
 
-    monkeypatch.setattr(situations.ContainmentTable, "_fold", locked_fold)
+    monkeypatch.setattr(partitions, "_fold", locked_fold)
     # more threads than cores, half reading heaviest first
     orders = [ids, ids[::-1]] * 2
     got: list[dict] = [{} for _ in orders]
@@ -589,8 +590,8 @@ def test_classes_above_the_fold_size_take_the_tree_dp(monkeypatch):
 
 
 # The tree's own table closes the states of the two side classes of its most
-# balanced edge in one merge; a tree with one vertex, or whose most balanced
-# edge has a side of more than FOLD_MAX_SIZE vertices, takes the tree DP.
+# balanced edge in one merge, whatever their size; a tree with one vertex has
+# one entry.
 
 
 # weights up to 2^40 that repeat, so that 20-vertex tables stay small;
@@ -620,7 +621,7 @@ def test_tree_table_equals_the_tree_dp(t, rng):
     for c in rng.sample(classes.ids, rng.randint(0, len(classes.ids))):
         tbl._u_table(c)
     got = tbl.u_table(WHOLE_TREE)
-    assert got == u_polynomial(t).counts
+    assert got == vertex_dp_table(t)
     if t.n <= 12:
         assert got == u_polynomial(t, "brute").counts
 
@@ -631,9 +632,11 @@ def _two_stars(k: int) -> WeightedTree:
     return WeightedTree(2 * k, tuple(edges), (2,) + (1,) * (2 * k - 1))
 
 
-def test_tree_table_takes_the_tree_dp_only_past_the_fold_size(monkeypatch):
+def test_tree_table_runs_no_tree_dp(monkeypatch):
     # the 20-vertex unit star's sides have 1 and 19 vertices, two 10-vertex
-    # stars split 10/10, and one vertex has no edge
+    # stars split 10/10, and one vertex has no edge: the first two close
+    # off the table's own class states, whatever their size, and the third
+    # has one entry, so none runs u_polynomial's route
     trees = [star(1, *[1] * 19), _two_stars(10), WeightedTree(1, (), (5,))]
     want = [u_polynomial(t).counts for t in trees]
     dps = []
@@ -646,12 +649,13 @@ def test_tree_table_takes_the_tree_dp_only_past_the_fold_size(monkeypatch):
     monkeypatch.setattr(partitions, "_u_table_dp", counted_dp)
     got = [build_containment_table(t, hanging_classes(t)).u_table(WHOLE_TREE) for t in trees]
     assert got == want
-    assert dps == [20, 1]
+    assert dps == []
 
 
 def test_both_tree_table_routes_refuse_past_the_state_cap(monkeypatch):
-    # the star's table comes from the tree DP, the two stars' from their
-    # sides' states; each refuses a cap one below its table's size
+    # the table closes each tree off its most balanced edge's side states,
+    # and so does u_polynomial, off the edge from the centroid to a largest
+    # branch; each refuses a cap one below the tree's table size
     trees = [star(1, *[1] * 19), _two_stars(10)]
     for t, size in [(t, len(u_polynomial(t).counts)) for t in trees]:
         tbl = build_containment_table(t, hanging_classes(t))
