@@ -6,7 +6,8 @@ import random
 from typing import Iterator, Sequence
 
 from .errors import TreeInputError
-from .trees import Edge, WeightedTree, relabel
+from .partitions import _FOLD_LOCK
+from .trees import ClassTable, Edge, WeightedTree, _trusted_tree, relabel
 
 MAX_ENUM_N = 12
 
@@ -51,25 +52,43 @@ def free_trees(n: int) -> Iterator[WeightedTree]:
     of small rooted classes hung from a centroid, or one unordered pair of
     classes of size n/2 joined at their roots: no isomorphism test is needed.
     Vertex 0 is a centroid and the other vertices are numbered in preorder.
+
+    The walk interns its rooted classes on one ClassTable, and each tree it
+    yields holds that table and its class there, rooted at vertex 0, as
+    `_class`, so that u_polynomial folds each branch class once per walk
+    into a memo on the table (see partitions._u_table_dp).  The table and
+    its memo live while the walk or any tree of it does; a copy of a tree
+    (pickle, copy) keeps neither.
     """
     if not 1 <= n <= MAX_ENUM_N:
         raise TreeInputError(f"free-tree enumeration supports 1 <= n <= {MAX_ENUM_N}")
     # rooted classes up to n/2 vertices, size by size, so `sizes` is sorted; a
-    # class of size s is a multiset of class ids whose sizes sum to s - 1
-    sizes: list[int] = []
+    # class of size s is a multiset of class ids whose sizes sum to s - 1, and
+    # is new, so the fresh table numbers the classes as they are listed
+    classes = ClassTable()
+    sizes = classes.size
     edges: list[tuple[Edge, ...]] = []
     for s in range(1, n // 2 + 1):
-        level = [_hang(kids, sizes, edges) for kids in multisets_of_weight(sizes, s - 1)]
-        sizes += [s] * len(level)
-        edges += level
+        for kids in list(multisets_of_weight(sizes, s - 1)):  # listed before `sizes` grows
+            edges.append(_hang(kids, sizes, edges))
+            classes._intern(1, kids, s, s)
     ones = (1,) * n
     # for even n the last classes have n/2 vertices: halves, too big for branches
-    halves = sizes.index(n // 2) if n % 2 == 0 else len(sizes)
+    levels = len(sizes)  # the trees' own classes follow
+    halves = sizes.index(n // 2) if n % 2 == 0 else levels
+
+    def tree(kids, tree_edges):
+        with _FOLD_LOCK:  # a thread may be closing an earlier tree on the table
+            cid = classes._intern(1, kids, n, n)
+        t = _trusted_tree(n, tree_edges, ones)
+        vars(t)["_class"] = (classes, cid)
+        return t
+
     for kids in multisets_of_weight(sizes[:halves], n - 1):
-        yield WeightedTree(n, _hang(kids, sizes, edges), ones)
-    for a in range(halves, len(sizes)):
-        for b in range(a, len(sizes)):
-            yield WeightedTree(n, _hang((b,), sizes, edges, edges[a], n // 2), ones)
+        yield tree(kids, _hang(kids, sizes, edges))
+    for a in range(halves, levels):
+        for b in range(a, levels):
+            yield tree(classes.keys[a][1] + (b,), _hang((b,), sizes, edges, edges[a], n // 2))
 
 
 def random_weighted_tree(n: int, weight_bound: int, rng: random.Random) -> WeightedTree:

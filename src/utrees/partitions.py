@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
+from threading import Lock
 from typing import Callable, Iterable
 
 from .errors import ResourceBoundError, TreeInputError
@@ -24,6 +25,12 @@ COLOURING_ENUM_CAP = 4**10
 # the cap bounds that work by about its square (a star whose 15 leaves weigh
 # 2^0..2^14 reaches it; CHANGES.md keeps the timing)
 VALUE_BITS_CAP = 2**15
+
+# held while class states are folded into a memo that outlives one call (a
+# containment table's, or a free-tree walk's) and while a walk's shared table
+# interns: the states of a memo share one packing, and two threads must not
+# hand out one field, or one class id, twice
+_FOLD_LOCK = Lock()
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,26 +360,53 @@ def _close_edge(pk: _Packing, classes: ClassTable, states: dict | None,
     return _close_merge(pk, states[a], weight[a], states[b], weight[b])
 
 
+def _split(classes: ClassTable, cid: int) -> tuple[int, int]:
+    """The classes (a, b) of the two sides of the edge from the root of
+    class `cid` to a largest child: b that child's, a the rest's, interned."""
+    size, weight = classes.size, classes.weight
+    root_weight, kids = classes.keys[cid]
+    b = max(kids, key=size.__getitem__)
+    rest = list(kids)
+    rest.remove(b)
+    a = classes._intern(root_weight, tuple(rest), size[cid] - size[b], weight[cid] - weight[b])
+    return a, b
+
+
 def _u_table_dp(t: WeightedTree) -> dict[tuple[int, ...], int]:
     """Descending part tuple -> number of edge subsets with those component weights.
 
-    t is interned on a fresh ClassTable below centroids(t)[0] (by the walk
-    from vertex 0 when that is the centroid), and the table is closed across
-    the edge from there to a largest branch (_close_edge).
+    The table is closed across the edge from centroids(t)[0] to a largest
+    branch (_split, _close_edge).  A tree from generate.free_trees holds its
+    class rooted at vertex 0, a centroid, on its walk's table: the states
+    are folded into one memo on that table, so each branch class is folded
+    once per walk, and the state of the side without b is dropped after the
+    close when it has more than n/2 vertices, so that the memo keeps only
+    the classes the walk's levels interned.  Any other tree is interned on
+    a fresh ClassTable below its centroid (by the walk from vertex 0 when
+    that is the centroid), and its states are dropped as they are spent.
     """
     if t.n == 1:
         return {t.weights: 1}
-    classes = ClassTable()
-    parent, _, down = classes._down_pass(t, 0)
-    size, weight = classes.size, classes.weight
-    root = _centroids_of(t, parent, [size[c] for c in down])[0]
-    if root:
-        down = classes._down_pass(t, root)[2]
-    kids = list(classes.keys[down[root]][1])
-    b = max(kids, key=size.__getitem__)
-    kids.remove(b)
-    a = classes._intern(t.weights[root], tuple(kids), t.n - size[b], t.total_weight - weight[b])
-    return _close_edge(_Packing(t.n, t.total_weight), classes, None, a, b)
+    held = vars(t).get("_class")
+    if held is None:
+        classes = ClassTable()
+        parent, _, down = classes._down_pass(t, 0)
+        root = _centroids_of(t, parent, [classes.size[c] for c in down])[0]
+        if root:
+            down = classes._down_pass(t, root)[2]
+        a, b = _split(classes, down[root])
+        return _close_edge(_Packing(t.n, t.total_weight), classes, None, a, b)
+    classes, cid = held
+    with _FOLD_LOCK:
+        memo = vars(classes).get("_fold_memo")
+        if memo is None:  # every tree of a walk has its n vertices and weight
+            memo = classes._fold_memo = (_Packing(t.n, t.total_weight), {})
+        pk, states = memo
+        a, b = _split(classes, cid)
+        table = _close_edge(pk, classes, states, a, b)
+        if 2 * classes.size[a] > t.n:
+            del states[a]
+    return table
 
 
 def u_polynomial(t: WeightedTree, mode: str = "dp") -> ExpressionCounts:

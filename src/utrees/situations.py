@@ -37,7 +37,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import factorial, prod
-from threading import Lock
 from typing import Mapping
 
 from .errors import (
@@ -47,7 +46,7 @@ from .errors import (
     TreeInputError,
 )
 from .generate import multisets_of_weight
-from .partitions import Expression, _close, _close_edge, _CountsView, _Packing, u_polynomial
+from .partitions import _FOLD_LOCK, Expression, _close, _close_edge, _CountsView, _Packing, u_polynomial
 from .trees import (
     CanonicalCode,
     RootedWeightedTree,
@@ -74,10 +73,6 @@ WHOLE_TREE = None
 # (CHANGES.md keeps the measurements).  The tree's own table needs no bound:
 # its most balanced edge's sides are rooted at a centroid and its neighbour
 FOLD_MAX_SIZE = 16
-
-# held while a containment table folds class states: the states of a table
-# share one packing, and two threads must not hand out one field twice
-_FOLD_LOCK = Lock()
 
 # an occurring situation as non-shaped counts read it: (ordered occurrence
 # count, symmetry factor, part weights -> ways the components split so)

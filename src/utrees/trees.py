@@ -11,7 +11,11 @@ children-first walk.  A side representative holds its table and reads
 its code and text off it; its tree is built from the code on the first
 read of `.tree`.  A hanging subtree reads its vertex set off its tree's
 index only when asked, so `shapes` costs what it returns: one text walk
-for all its sides, and a representative per class.  Vertex ids are
+for all its sides, and a representative per class.  A tree that
+generate.free_trees yields holds its walk's table and its class there, and
+the U-table DP folds its branches' states into a memo on that table (see
+partitions._u_table_dp): table and memo live while the walk or any of its
+trees does, and a copy keeps neither.  Vertex ids are
 0-based and carry no meaning: every observable output is invariant under
 relabeling.
 """
@@ -74,6 +78,12 @@ class WeightedTree:
                     stack.append(u)
         if len(seen) != n:
             raise TreeInputError("graph is not connected")
+
+    def __getstate__(self):
+        # a copy of a generated tree keeps its fields, not its walk's table
+        state = vars(self).copy()
+        state.pop("_class", None)
+        return state
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -365,3 +365,18 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path):
     assert proc.wait(timeout=60) == 141
     assert first == b"edge=(1,2) root=1 weight=2 shape=1(1)\n"
     assert err == b""
+
+
+def test_python_dash_m_utrees_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(utrees.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "utrees", "census", "--mode", "stanley", "--max-n", "5"],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "trees=8" in lines and "collisions=0" in lines

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import networkx as nx
@@ -6,7 +8,8 @@ import pytest
 from utrees import generate, trees
 from utrees.errors import TreeInputError
 from utrees.generate import free_trees, multisets_of_weight, random_weighted_tree
-from utrees.trees import free_code
+from utrees.partitions import u_polynomial
+from utrees.trees import RootedWeightedTree, free_code, rooted_code
 
 from helpers import level_sequence_to_tree, rooted_level_sequences
 
@@ -103,6 +106,29 @@ def test_free_trees_need_no_canonical_codes(monkeypatch):
         for name in ("free_code", "rooted_code"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
     assert [sum(1 for _ in free_trees(n)) for n in range(1, 13)] == FREE_COUNTS
+
+
+def test_walk_trees_carry_their_class_on_one_table():
+    # the class of each tree rooted at vertex 0 is interned on its walk's
+    # table, and the table codes it as the tree's own walk does
+    for n in range(1, 13):
+        walk = list(free_trees(n))
+        assert len({id(vars(t)["_class"][0]) for t in walk}) == 1
+        for t in walk:
+            classes, cid = vars(t)["_class"]
+            assert classes.code(cid) == rooted_code(RootedWeightedTree(t, 0))
+
+
+def test_copies_of_walk_trees_keep_no_table():
+    walk = list(free_trees(12))
+    u_polynomial(walk[-1])  # the walk's table now holds a fold memo too
+    for t in (walk[0], walk[-1]):
+        data = pickle.dumps(t)
+        assert b"ClassTable" not in data and len(data) < 1000
+        for c in (pickle.loads(data), copy.copy(t), copy.deepcopy(t)):
+            assert c == t and c.edges == t.edges and hash(c) == hash(t)
+            assert "_class" not in vars(c)
+        assert "_class" in vars(t)
 
 
 def test_multisets_of_weight_order():

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from collections import Counter
 from itertools import product
 from unittest import mock
 
@@ -7,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from utrees import partitions
+from utrees.census import fingerprint
 from utrees.embedding import good_encode
 from utrees.errors import ResourceBoundError, TreeInputError
-from utrees.generate import random_relabeling
+from utrees.generate import free_trees, random_relabeling
 from utrees.partitions import (
     Expression,
     ExpressionCounts,
@@ -23,7 +27,7 @@ from utrees.partitions import (
     u_polynomial,
 )
 from utrees.situations import WHOLE_TREE, build_containment_table, hanging_classes
-from utrees.trees import SideIndex, WeightedTree, centroids, relabel
+from utrees.trees import ClassTable, SideIndex, WeightedTree, centroids, relabel
 
 from helpers import (
     ConnectedPartition,
@@ -368,6 +372,124 @@ def test_u_polynomial_folds_each_leg_class_once(monkeypatch):
     assert u_polynomial(t).counts == vertex_dp_table(t)
     assert t.n == 19 and len(merges) == 7
     assert len(folded) == 1 and folded[0][0] == folded[0][1] and len(folded[0][1]) == 2
+
+
+# trees of a free-tree walk carry their class on the walk's table, and are
+# closed off the fold memo that lives there
+
+
+def _walk_memo(t):
+    classes = vars(t)["_class"][0]
+    return classes, vars(classes)["_fold_memo"][1]
+
+
+def _plain(t):
+    return WeightedTree(t.n, t.edges, t.weights)
+
+
+def test_walk_trees_have_their_plain_copies_tables():
+    # all 987 trees to n = 12; a plain copy is interned on a fresh table
+    for n in range(1, 13):
+        for t in free_trees(n):
+            plain = _plain(t)
+            assert "_class" in vars(t) and "_class" not in vars(plain)
+            got, want = u_polynomial(t), u_polynomial(plain)
+            assert got.counts._table == want.counts._table
+            assert got.canonical_text() == want.canonical_text()
+            if n <= 10:
+                assert got.counts == vertex_dp_table(t)
+
+
+def test_a_walk_folds_each_level_class_once(monkeypatch):
+    # no tree of the walk is interned again, and each class of at most n/2
+    # vertices is folded once for the whole walk; every other class folded
+    # is a tree's side without its largest branch, dropped after the close
+    def forbidden(*args):
+        raise AssertionError("a tree of the walk was interned again")
+
+    fold, added = partitions._fold, Counter()
+
+    def counted_fold(pk, classes, states, ids):
+        before = set(states)
+        states = fold(pk, classes, states, ids)
+        added.update(set(states) - before)
+        return states
+
+    monkeypatch.setattr(ClassTable, "_down_pass", forbidden)
+    monkeypatch.setattr(partitions, "_fold", counted_fold)
+    walk = list(free_trees(10))
+    for t in walk:
+        u_polynomial(t)
+    classes, states = _walk_memo(walk[0])
+    levels = [c for c, size in enumerate(classes.size) if 2 * size <= 10]
+    assert levels == list(range(17))  # 1 + 1 + 2 + 4 + 9 rooted classes
+    assert {c: added[c] for c in levels} == dict.fromkeys(levels, 1)
+    assert all(2 * classes.size[c] > 10 for c in set(added) - set(levels))
+    assert sorted(states) == levels
+
+
+def test_a_walk_memo_keeps_only_classes_of_half_the_vertices():
+    walk = list(free_trees(12))
+    assert "_fold_memo" not in vars(vars(walk[0])["_class"][0])  # made on the first close
+    for t in walk:
+        fingerprint(t)
+    classes, states = _walk_memo(walk[0])
+    assert len(states) == 37  # 1 + 1 + 2 + 4 + 9 + 20 rooted classes
+    assert all(2 * classes.size[c] <= 12 for c in states)
+
+
+def test_threads_closing_trees_of_one_walk_read_the_single_thread_texts(monkeypatch):
+    # the walk's memo shares one packing and its table one id count: both
+    # grow under the fold lock, as one thread drives the walk on and the
+    # others close its first trees, half of them last tree first
+    walk = free_trees(10)
+    head = [next(walk) for _ in range(60)]
+    want = [fingerprint(_plain(t)) for t in head]
+    fold, intern, unlocked = partitions._fold, ClassTable._intern, []
+
+    def locked_fold(pk, classes, states, ids):
+        if not partitions._FOLD_LOCK.locked():
+            unlocked.append(ids)
+        return fold(pk, classes, states, ids)
+
+    def locked_intern(classes, *key):
+        if not partitions._FOLD_LOCK.locked():
+            unlocked.append(key)
+        return intern(classes, *key)
+
+    monkeypatch.setattr(partitions, "_fold", locked_fold)
+    monkeypatch.setattr(ClassTable, "_intern", locked_intern)
+    orders = [range(len(head)), range(len(head))[::-1]] * 2
+    got: list[dict] = [{} for _ in orders]
+    tail: list = []
+    start = threading.Barrier(len(orders) + 1)
+
+    def read(out, order):
+        start.wait(timeout=60)
+        for i in order:
+            out[i] = fingerprint(head[i])
+
+    def drive():
+        start.wait(timeout=60)
+        tail.extend(walk)
+
+    threads = [threading.Thread(target=read, args=(g, order)) for g, order in zip(got, orders)]
+    threads.append(threading.Thread(target=drive))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert all([g[i] for i in range(len(head))] == want for g in got)
+    assert len(head) + len(tail) == 106 and not unlocked
+    classes, states = _walk_memo(head[0])
+    assert states and all(classes._ids[key] == c for c, key in enumerate(classes.keys))
+    assert [fingerprint(t) for t in tail] == [fingerprint(_plain(t)) for t in tail]
 
 
 def test_expression_refuses_parts_that_are_not_a_tuple():
